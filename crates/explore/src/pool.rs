@@ -118,6 +118,14 @@ impl Hasher for FnvHasher {
     }
 }
 
+/// FNV-1a over config-encoding words, one xor-multiply per word — the
+/// key hash of [`MemoCache`] and of the SA history's index.
+pub(crate) fn hash_words(words: impl Iterator<Item = i64>) -> u64 {
+    words.fold(0xcbf2_9ce4_8422_2325, |h, w| {
+        (h ^ w as u64).wrapping_mul(0x1000_0000_01b3)
+    })
+}
+
 /// A `HashMap` using [`FnvHasher`].
 type FnvMap<K, V> = HashMap<K, V, BuildHasherDefault<FnvHasher>>;
 
@@ -258,12 +266,7 @@ impl MemoCache {
     /// each one once and reuse it across [`MemoCache::peek_hashed`],
     /// in-batch duplicate detection, and [`MemoCache::insert_hashed`].
     pub fn hash(key: &[i64]) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for &w in key {
-            h ^= w as u64;
-            h = h.wrapping_mul(0x1000_0000_01b3);
-        }
-        h
+        hash_words(key.iter().copied())
     }
 
     fn shard(&self, hash: u64) -> &Mutex<Shard> {

@@ -283,6 +283,73 @@ impl NodeConfig {
         out.push(self.fpga_pipeline);
     }
 
+    /// The [`NodeConfig::encode`] words as an iterator, without
+    /// allocating — for hashing or comparing a config against stored
+    /// encodings word by word.
+    pub fn encode_iter(&self) -> impl Iterator<Item = i64> + '_ {
+        self.spatial_splits
+            .iter()
+            .chain(&self.reduce_splits)
+            .flatten()
+            .copied()
+            .chain(self.reorder.iter().map(|&i| i as i64))
+            .chain([
+                self.fuse_outer as i64,
+                self.unroll as i64,
+                self.vectorize as i64,
+                self.cache_shared as i64,
+                self.inline_data as i64,
+                self.fpga_partition,
+                self.fpga_pipeline,
+            ])
+    }
+
+    /// Length of the [`NodeConfig::encode`] vector of a config with
+    /// `spatial` spatial and `reduce` reduce axes.
+    pub fn encoded_len(spatial: usize, reduce: usize) -> usize {
+        spatial * SPATIAL_PARTS + reduce * REDUCE_PARTS + spatial + 7
+    }
+
+    /// Rebuilds a config from [`NodeConfig::encode`] words given only the
+    /// axis counts — the shape-level half of [`NodeConfig::decode`],
+    /// without its value checks. It inverts `encode` exactly for every
+    /// config with `spatial` spatial axes, `reduce` reduce axes, split
+    /// arities [`SPATIAL_PARTS`] / [`REDUCE_PARTS`] and a `spatial`-entry
+    /// reorder.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v.len()` is not [`NodeConfig::encoded_len`]`(spatial,
+    /// reduce)`.
+    pub fn from_encoding(spatial: usize, reduce: usize, v: &[i64]) -> NodeConfig {
+        assert_eq!(
+            v.len(),
+            NodeConfig::encoded_len(spatial, reduce),
+            "encoding length does not match {spatial} spatial and {reduce} reduce axes"
+        );
+        let (spatial_words, v) = v.split_at(spatial * SPATIAL_PARTS);
+        let (reduce_words, v) = v.split_at(reduce * REDUCE_PARTS);
+        let (reorder, rest) = v.split_at(spatial);
+        NodeConfig {
+            spatial_splits: spatial_words
+                .chunks_exact(SPATIAL_PARTS)
+                .map(<[i64]>::to_vec)
+                .collect(),
+            reduce_splits: reduce_words
+                .chunks_exact(REDUCE_PARTS)
+                .map(<[i64]>::to_vec)
+                .collect(),
+            reorder: reorder.iter().map(|&x| x as usize).collect(),
+            fuse_outer: rest[0] as usize,
+            unroll: rest[1] != 0,
+            vectorize: rest[2] != 0,
+            cache_shared: rest[3] != 0,
+            inline_data: rest[4] != 0,
+            fpga_partition: rest[5],
+            fpga_pipeline: rest[6],
+        }
+    }
+
     /// Appends this config's [`NodeConfig::encode`] words to `out` by
     /// copying `base_key` — the already-encoded words of `base` — and
     /// patching only the words where `self` differs from `base`.
@@ -379,7 +446,7 @@ impl NodeConfig {
     pub fn decode(op: &ComputeOp, v: &[i64]) -> Result<NodeConfig, String> {
         let ns = op.spatial.len();
         let nr = op.reduce.len();
-        let expect = ns * SPATIAL_PARTS + nr * REDUCE_PARTS + ns + 7;
+        let expect = NodeConfig::encoded_len(ns, nr);
         if v.len() != expect {
             let class = if v.len() < expect {
                 "truncated"
@@ -391,24 +458,14 @@ impl NodeConfig {
                 v.len()
             ));
         }
-        let mut it = v.iter().copied();
-        let mut take = |n: usize| -> Vec<i64> { (&mut it).take(n).collect() };
-        let spatial_splits: Vec<Vec<i64>> = (0..ns).map(|_| take(SPATIAL_PARTS)).collect();
-        let reduce_splits: Vec<Vec<i64>> = (0..nr).map(|_| take(REDUCE_PARTS)).collect();
-        for f in spatial_splits.iter().chain(reduce_splits.iter()) {
-            if let Some(&bad) = f.iter().find(|&&x| x < 1) {
-                return Err(format!("split factor {bad} is not positive"));
-            }
+        let (splits, tail) = v.split_at(ns * SPATIAL_PARTS + nr * REDUCE_PARTS);
+        if let Some(&bad) = splits.iter().find(|&&x| x < 1) {
+            return Err(format!("split factor {bad} is not positive"));
         }
-        let raw_reorder = take(ns);
-        let mut reorder = Vec::with_capacity(ns);
-        for x in raw_reorder {
-            if x < 0 || x as usize >= ns {
-                return Err(format!("reorder entry {x} outside 0..{ns}"));
-            }
-            reorder.push(x as usize);
+        let (reorder, rest) = tail.split_at(ns);
+        if let Some(&x) = reorder.iter().find(|&&x| x < 0 || x as usize >= ns) {
+            return Err(format!("reorder entry {x} outside 0..{ns}"));
         }
-        let rest = take(7);
         if rest[0] < 1 || rest[0] as usize > ns {
             return Err(format!("fuse depth {} outside 1..={ns}", rest[0]));
         }
@@ -426,18 +483,7 @@ impl NodeConfig {
                 rest[5], rest[6]
             ));
         }
-        Ok(NodeConfig {
-            spatial_splits,
-            reduce_splits,
-            reorder,
-            fuse_outer: rest[0] as usize,
-            unroll: rest[1] != 0,
-            vectorize: rest[2] != 0,
-            cache_shared: rest[3] != 0,
-            inline_data: rest[4] != 0,
-            fpga_partition: rest[5],
-            fpga_pipeline: rest[6],
-        })
+        Ok(NodeConfig::from_encoding(ns, nr, v))
     }
 
     /// Product of the level-`k` spatial factors over all axes.
@@ -650,6 +696,30 @@ mod tests {
         c.fpga_pipeline = 4;
         let err = c.validate(&op).unwrap_err();
         assert_eq!(err, "fpga_pipeline: depth 4 out of range 1..=3");
+    }
+
+    #[test]
+    fn encode_iter_and_from_encoding_agree_with_encode_and_decode() {
+        let op = gemm_op();
+        let mut c = NodeConfig::naive(&op);
+        c.spatial_splits[1] = vec![2, 2, 4, 2];
+        c.reorder = vec![1, 0];
+        c.fuse_outer = 2;
+        c.cache_shared = true;
+        c.fpga_pipeline = 3;
+        let v = c.encode();
+        assert_eq!(c.encode_iter().collect::<Vec<_>>(), v);
+        assert_eq!(v.len(), NodeConfig::encoded_len(2, 1));
+        assert_eq!(NodeConfig::from_encoding(2, 1, &v), c);
+        assert_eq!(NodeConfig::decode(&op, &v).unwrap(), c);
+    }
+
+    #[test]
+    #[should_panic(expected = "encoding length does not match 2 spatial and 1 reduce axes")]
+    fn from_encoding_rejects_wrong_length() {
+        let mut v = NodeConfig::naive(&gemm_op()).encode();
+        v.pop();
+        NodeConfig::from_encoding(2, 1, &v);
     }
 
     #[test]
