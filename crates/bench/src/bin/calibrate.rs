@@ -4,18 +4,14 @@
 //! budget.
 
 use flextensor::{optimize, Method, OptimizeOptions, SearchOptions, Task};
-use flextensor_bench::harness::{geomean, Table};
+use flextensor_bench::harness::{arg, geomean, Table};
 use flextensor_ir::suite::OperatorKind;
 use flextensor_ir::yolo::YOLO_LAYERS;
 use flextensor_sim::library;
 use flextensor_sim::spec::{v100, Device};
 
 fn main() {
-    let trials: usize = std::env::args()
-        .skip_while(|a| a != "--trials")
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(60);
+    let trials: usize = arg("trials", 60);
     let gpu = v100();
     let opts = OptimizeOptions {
         method: Method::QMethod,

@@ -18,8 +18,8 @@
 //! Each workload is additionally run as a *neighbor batch* — a few seeded
 //! starting points expanded along every applicable direction, the exact
 //! shape the search drivers produce — through both the plain fast path
-//! and the **delta** path (`EvalPool::new_delta` +
-//! `evaluate_batch_delta`), which patches only the features each
+//! and the **delta** path (`EvalPool::with_options` with
+//! `PoolOptions::delta_eval` + `evaluate_batch_delta`), which patches only the features each
 //! single-field move can affect. The delta outcomes are cross-checked
 //! against the plain pool before timing, and the per-workload
 //! `delta_speedup` (delta vs. plain fast path on the same batch) lands in
@@ -32,19 +32,13 @@
 //! `--check 1` regression-gate mode, `--floor-file PATH` (default
 //! `results/BENCH_explore.json`) where `--check` reads its floors.
 //!
-//! The probe also times the cost model in isolation: scalar
-//! [`Evaluator::time_features`] vs. the batched
-//! [`Evaluator::time_features_batch`] over identical pre-extracted
-//! feature rows (cross-checked bit-for-bit first), landing
-//! `batch_vs_scalar` in the JSON.
-//!
 //! With `--check 1`, after measuring, the probe compares the overall
 //! geomeans against the `floor_speedup` / `floor_delta_speedup` /
-//! `floor_delta_vs_naive` / `floor_batch_vs_scalar` fields of the
-//! committed floor file and exits nonzero if any measured value falls
-//! below its floor — CI's `bench-smoke` job runs this, so a change that
-//! regresses evaluation throughput below the committed floor fails the
-//! build. All four floors gate *ratios of same-run measurements*, so
+//! `floor_delta_vs_naive` fields of the committed floor file and exits
+//! nonzero if any measured value falls below its floor — CI's
+//! `bench-smoke` job runs this, so a change that regresses evaluation
+//! throughput below the committed floor fails the build. All three floors
+//! gate *ratios of same-run measurements*, so
 //! machine speed cancels; see the floor constants below for how each is
 //! calibrated.
 //!
@@ -56,19 +50,15 @@
 //! `results/BENCH_explore.json` keeps its exact schema (and is
 //! byte-stable modulo timing) whether the db is absent, cold, or warm.
 
-use std::hint::black_box;
 use std::time::Instant;
 
 use flextensor::serve::task_key;
 use flextensor_bench::harness::arg;
-use flextensor_explore::pool::EvalPool;
+use flextensor_explore::pool::{EvalPool, PoolOptions};
 use flextensor_explore::space::Space;
 use flextensor_ir::graph::Graph;
 use flextensor_ir::ops::{self, ConvParams};
 use flextensor_schedule::config::NodeConfig;
-use flextensor_schedule::features::KernelFeatures;
-use flextensor_schedule::lower::lower;
-use flextensor_sim::batch::FeatureBatch;
 use flextensor_sim::model::Evaluator;
 use flextensor_sim::spec::{v100, Device};
 use flextensor_tunedb::{TuneDb, TuneRecord};
@@ -182,7 +172,7 @@ fn measure_delta(
     let mut hits = 0usize;
     let mut full = 0usize;
     while reps < 2 || total_secs < budget_s {
-        let mut pool = EvalPool::new_delta(graph, ev, workers, 1 << 20, false);
+        let mut pool = EvalPool::with_options(graph, ev, workers, 1 << 20, DELTA);
         let t0 = Instant::now();
         let outcomes = pool.evaluate_batch_delta(cands, base_of, bases);
         total_secs += t0.elapsed().as_secs_f64();
@@ -219,7 +209,7 @@ fn run_workload(
     // search drivers actually produce — and is cross-checked the same way.
     let (ncands, base_of, bases) = neighbor_batch(&space, seed ^ 0xde17a, 8);
     let plain_neighbor_out = EvalPool::new(graph, &ev, workers, 1 << 20).evaluate_batch(&ncands);
-    let delta_out = EvalPool::new_delta(graph, &ev, workers, 1 << 20, false)
+    let delta_out = EvalPool::with_options(graph, &ev, workers, 1 << 20, DELTA)
         .evaluate_batch_delta(&ncands, &base_of, &bases);
     assert_eq!(
         delta_out, plain_neighbor_out,
@@ -334,67 +324,12 @@ fn read_json_number(path: &str, key: &str) -> Option<f64> {
     rest[..end].parse().ok()
 }
 
-/// Times the cost model itself — scalar [`Evaluator::time_features`] vs.
-/// the batched [`Evaluator::time_features_batch`] over the same
-/// pre-extracted feature rows. Pure scoring (no lowering, no caching), so
-/// the ratio isolates the structure-of-arrays batch kernels. The two
-/// paths are cross-checked bit-for-bit before timing; returns
-/// `(scalar rows/s, batched rows/s)`.
-fn measure_batch_vs_scalar(ev: &Evaluator, feats: &[KernelFeatures], budget_s: f64) -> (f64, f64) {
-    let mut batch = FeatureBatch::new();
-    for f in feats {
-        batch.push(f);
-    }
-    let mut out = Vec::new();
-    ev.time_features_batch(&batch, &mut out);
-    let scalar: Vec<Option<f64>> = feats.iter().map(|f| ev.time_features(f)).collect();
-    assert_eq!(scalar.len(), out.len());
-    for (i, (s, b)) in scalar.iter().zip(&out).enumerate() {
-        assert_eq!(
-            s.map(f64::to_bits),
-            b.map(f64::to_bits),
-            "batched scoring diverged from scalar at row {i}"
-        );
-    }
-
-    // Both loops produce the same Vec<Option<f64>> so the comparison is
-    // end-to-end scoring work, not loop-shape artifacts.
-    let half = (budget_s / 2.0).max(0.05);
-    let mut rows = 0usize;
-    let t0 = Instant::now();
-    loop {
-        out.clear();
-        for f in black_box(feats) {
-            out.push(ev.time_features(f));
-        }
-        black_box(&out);
-        rows += feats.len();
-        if t0.elapsed().as_secs_f64() >= half {
-            break;
-        }
-    }
-    let scalar_rows_per_s = rows as f64 / t0.elapsed().as_secs_f64().max(1e-12);
-
-    let mut rows = 0usize;
-    let t0 = Instant::now();
-    loop {
-        ev.time_features_batch(black_box(&batch), &mut out);
-        black_box(&out);
-        rows += batch.len();
-        if t0.elapsed().as_secs_f64() >= half {
-            break;
-        }
-    }
-    let batch_rows_per_s = rows as f64 / t0.elapsed().as_secs_f64().max(1e-12);
-    (scalar_rows_per_s, batch_rows_per_s)
-}
-
 /// Default perf floors, used when the floor file has none (first run) —
 /// deliberately below the measured numbers so only a real regression
 /// trips them. The committed `results/BENCH_explore.json` carries the
 /// authoritative values.
 ///
-/// Four floors, four meanings:
+/// Three floors, three meanings:
 /// * `floor_speedup` — fast path vs. naive re-lowering, geomean.
 /// * `floor_delta_speedup` — delta vs. plain fast path on the *same*
 ///   neighbor batch in the *same* run. Since the split-phase template and
@@ -407,13 +342,16 @@ fn measure_batch_vs_scalar(ev: &Evaluator, feats: &[KernelFeatures], budget_s: f
 ///   25.75); the batched cost model, hash-once memo keys, and
 ///   delta-derived key encoding raised the committed floor to 70, i.e.
 ///   "the delta pipeline stays ≥ 70× the re-lowering baseline".
-/// * `floor_batch_vs_scalar` — batched cost-model scoring vs. scalar
-///   scoring over identical feature rows. The floor of 1.0 enforces that
-///   batching never pessimizes pure scoring throughput.
 const DEFAULT_FLOOR_SPEEDUP: f64 = 8.0;
 const DEFAULT_FLOOR_DELTA_SPEEDUP: f64 = 0.9;
 const DEFAULT_FLOOR_DELTA_VS_NAIVE: f64 = 70.0;
-const DEFAULT_FLOOR_BATCH_VS_SCALAR: f64 = 1.0;
+
+/// The pool options of the delta path.
+const DELTA: PoolOptions = PoolOptions {
+    analyzer_gate: false,
+    delta_eval: true,
+    region_gate: false,
+};
 
 fn main() {
     let seed: u64 = arg("seed", 2024);
@@ -433,9 +371,7 @@ fn main() {
     let gemm = ops::gemm(256, 256, 256);
     let conv = ops::conv2d(ConvParams::same(1, 64, 128, 3), 14, 14);
     let gconv = ops::group_conv2d(ConvParams::same(1, 256, 256, 3).with_groups(8), 28, 28);
-    // 90% of the budget is split across the workloads; the last 10% times
-    // the batch-vs-scalar cost-model microbenchmark.
-    let per_workload = budget_s * 0.3;
+    let per_workload = budget_s / 3.0;
     let results = [
         run_workload("gemm_256", &gemm, workers, seed, candidates, per_workload),
         run_workload(
@@ -497,29 +433,6 @@ fn main() {
         (results.iter().map(|r| r.delta_vs_naive().ln()).sum::<f64>() / results.len() as f64).exp();
     println!("overall delta-vs-naive (geometric mean): {overall_delta_vs_naive:.2}x");
 
-    // Cost-model microbenchmark: scalar vs. batched scoring over feature
-    // rows lowered from the conv workload's candidate pool.
-    let ev = Evaluator::new(Device::Gpu(v100()));
-    let space = Space::new(&conv, ev.target());
-    let mut rng = StdRng::seed_from_u64(seed ^ 0xba7c);
-    let feats: Vec<KernelFeatures> = (0..512)
-        .filter_map(|_| {
-            let cfg = space.random_point(&mut rng);
-            lower(&conv, &cfg, ev.target()).ok().map(|k| k.features)
-        })
-        .collect();
-    let (scalar_rows_per_s, batch_rows_per_s) =
-        measure_batch_vs_scalar(&ev, &feats, budget_s * 0.1);
-    let batch_vs_scalar = batch_rows_per_s / scalar_rows_per_s.max(1e-12);
-    println!(
-        "\ncost model ({} feature rows): batched {:.0} rows/s, scalar {:.0} rows/s, \
-         batch-vs-scalar {:.2}x",
-        feats.len(),
-        batch_rows_per_s,
-        scalar_rows_per_s,
-        batch_vs_scalar
-    );
-
     if !db_path.is_empty() {
         record_or_replay(
             &db_path,
@@ -539,8 +452,6 @@ fn main() {
         read_json_number(&floor_file, "floor_delta_speedup").unwrap_or(DEFAULT_FLOOR_DELTA_SPEEDUP);
     let floor_delta_vs_naive = read_json_number(&floor_file, "floor_delta_vs_naive")
         .unwrap_or(DEFAULT_FLOOR_DELTA_VS_NAIVE);
-    let floor_batch_vs_scalar = read_json_number(&floor_file, "floor_batch_vs_scalar")
-        .unwrap_or(DEFAULT_FLOOR_BATCH_VS_SCALAR);
 
     let mut json = String::new();
     json.push_str("{\n");
@@ -578,20 +489,12 @@ fn main() {
     json.push_str(&format!(
         "  \"overall_delta_vs_naive\": {overall_delta_vs_naive:.2},\n"
     ));
-    json.push_str(&format!(
-        "  \"scalar_rows_per_s\": {scalar_rows_per_s:.1},\n"
-    ));
-    json.push_str(&format!("  \"batch_rows_per_s\": {batch_rows_per_s:.1},\n"));
-    json.push_str(&format!("  \"batch_vs_scalar\": {batch_vs_scalar:.2},\n"));
     json.push_str(&format!("  \"floor_speedup\": {floor_speedup:.2},\n"));
     json.push_str(&format!(
         "  \"floor_delta_speedup\": {floor_delta_speedup:.2},\n"
     ));
     json.push_str(&format!(
-        "  \"floor_delta_vs_naive\": {floor_delta_vs_naive:.2},\n"
-    ));
-    json.push_str(&format!(
-        "  \"floor_batch_vs_scalar\": {floor_batch_vs_scalar:.2}\n"
+        "  \"floor_delta_vs_naive\": {floor_delta_vs_naive:.2}\n"
     ));
     json.push_str("}\n");
 
@@ -615,11 +518,6 @@ fn main() {
                 "delta-vs-naive geomean",
                 overall_delta_vs_naive,
                 floor_delta_vs_naive,
-            ),
-            (
-                "batch-vs-scalar scoring",
-                batch_vs_scalar,
-                floor_batch_vs_scalar,
             ),
         ] {
             let ok = measured >= floor;

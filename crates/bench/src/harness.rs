@@ -195,14 +195,67 @@ mod tests {
     }
 }
 
-/// Parses `--<name> <value>` from the process arguments.
-pub fn arg<T: std::str::FromStr>(name: &str, default: T) -> T {
+/// A command-line flag that is present but unusable.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ArgError {
+    /// `--<name>` is the last argument or is followed by another flag.
+    MissingValue(String),
+    /// The value does not parse as the flag's type.
+    BadValue {
+        /// The flag, with its leading dashes.
+        flag: String,
+        /// The value as given.
+        value: String,
+    },
+}
+
+impl std::fmt::Display for ArgError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ArgError::MissingValue(flag) => write!(f, "{flag} needs a value"),
+            ArgError::BadValue { flag, value } => write!(f, "invalid value {value:?} for {flag}"),
+        }
+    }
+}
+
+/// Finds `--<name> <value>` or `--<name>=<value>` in `args` (the first
+/// occurrence wins) and parses the value: `Ok(None)` when the flag is
+/// absent, an error when it is present without a usable value.
+pub fn parse_arg<T: std::str::FromStr>(args: &[String], name: &str) -> Result<Option<T>, ArgError> {
     let flag = format!("--{name}");
-    std::env::args()
-        .skip_while(|a| a != &flag)
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(default)
+    let prefix = format!("{flag}=");
+    for (i, a) in args.iter().enumerate() {
+        let value = if *a == flag {
+            match args.get(i + 1) {
+                Some(v) if !v.starts_with("--") => v.as_str(),
+                _ => return Err(ArgError::MissingValue(flag)),
+            }
+        } else if let Some(v) = a.strip_prefix(&prefix) {
+            v
+        } else {
+            continue;
+        };
+        return value.parse().map(Some).map_err(|_| ArgError::BadValue {
+            flag,
+            value: value.to_string(),
+        });
+    }
+    Ok(None)
+}
+
+/// Reads `--<name> <value>` (or `--<name>=<value>`) from the process
+/// arguments, or `default` when the flag is absent. A flag given with a
+/// missing or unparsable value is a usage error: the process prints it
+/// and exits with status 2 rather than running with the default.
+pub fn arg<T: std::str::FromStr>(name: &str, default: T) -> T {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    match parse_arg(&args, name) {
+        Ok(value) => value.unwrap_or(default),
+        Err(e) => {
+            eprintln!("error: {e}");
+            std::process::exit(2);
+        }
+    }
 }
 
 /// Writes a table's CSV twin under `results/` (best effort — failures to
@@ -272,6 +325,58 @@ pub fn ascii_plot(series: &[(&str, Vec<(f64, f64)>)], width: usize, height: usiz
         out.push_str(&format!("  {} = {}\n", MARKS[si % MARKS.len()], name));
     }
     out
+}
+
+#[cfg(test)]
+mod arg_tests {
+    use super::*;
+
+    fn args(xs: &[&str]) -> Vec<String> {
+        xs.iter().map(|x| x.to_string()).collect()
+    }
+
+    #[test]
+    fn space_and_equals_forms_parse() {
+        let a = args(&["--seed", "7", "--check=1", "--out=/tmp/x.json"]);
+        assert_eq!(parse_arg::<u64>(&a, "seed"), Ok(Some(7)));
+        assert_eq!(parse_arg::<usize>(&a, "check"), Ok(Some(1)));
+        assert_eq!(
+            parse_arg::<String>(&a, "out"),
+            Ok(Some("/tmp/x.json".to_string()))
+        );
+    }
+
+    #[test]
+    fn absent_flag_is_none() {
+        let a = args(&["fuzz", "--seed", "7", "--checkpoint", "3"]);
+        assert_eq!(parse_arg::<usize>(&a, "check"), Ok(None));
+        assert_eq!(parse_arg::<usize>(&[], "check"), Ok(None));
+    }
+
+    #[test]
+    fn missing_value_is_an_error() {
+        for a in [args(&["--check"]), args(&["--check", "--out", "x"])] {
+            assert_eq!(
+                parse_arg::<usize>(&a, "check"),
+                Err(ArgError::MissingValue("--check".to_string()))
+            );
+        }
+    }
+
+    #[test]
+    fn unparsable_value_is_an_error() {
+        for a in [args(&["--check", "yes"]), args(&["--check=yes"])] {
+            let err = parse_arg::<usize>(&a, "check").unwrap_err();
+            assert_eq!(
+                err,
+                ArgError::BadValue {
+                    flag: "--check".to_string(),
+                    value: "yes".to_string()
+                }
+            );
+            assert_eq!(err.to_string(), "invalid value \"yes\" for --check");
+        }
+    }
 }
 
 #[cfg(test)]

@@ -39,7 +39,7 @@ pub mod optimize;
 pub mod serve;
 
 pub use flextensor_explore::methods::{Method, SearchOptions};
-pub use flextensor_explore::pool::{EvalPool, EvalStats, MemoCache};
+pub use flextensor_explore::pool::{EvalPool, EvalStats, MemoCache, PoolOptions};
 pub use flextensor_telemetry::{JsonlSink, MemorySink, NullSink, Telemetry, TraceEvent, TraceSink};
 pub use flextensor_tunedb::{TuneDb, TuneKey, TuneRecord};
 pub use optimize::{optimize, OptimizeError, OptimizeOptions, OptimizeResult, Task};

@@ -62,6 +62,6 @@ pub use flextensor_telemetry as telemetry;
 
 pub use flextensor_telemetry::{JsonlSink, MemorySink, NullSink, Telemetry, TraceEvent, TraceSink};
 pub use methods::{search, Method, SearchOptions, SearchResult, TracePoint};
-pub use pool::{EvalOutcome, EvalPool, EvalStats, MemoCache};
+pub use pool::{EvalOutcome, EvalPool, EvalStats, MemoCache, PoolOptions};
 pub use sa::History;
 pub use space::{Direction, Space};

@@ -33,7 +33,7 @@ use flextensor_telemetry::{config_key, Telemetry, TraceEvent};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::pool::{EvalOutcome, EvalPool, EvalStats};
+use crate::pool::{EvalOutcome, EvalPool, EvalStats, PoolOptions};
 use crate::qlearn::{QAgent, Transition};
 use crate::sa::History;
 use crate::space::Space;
@@ -340,28 +340,17 @@ pub fn search(
 
     let mut d = Driver {
         graph,
-        pool: if opts.region_gate {
-            EvalPool::new_region_gated(
-                graph,
-                evaluator,
-                opts.eval_workers,
-                opts.cache_capacity,
-                opts.analyzer_gate,
-                opts.delta_eval,
-            )
-        } else if opts.delta_eval {
-            EvalPool::new_delta(
-                graph,
-                evaluator,
-                opts.eval_workers,
-                opts.cache_capacity,
-                opts.analyzer_gate,
-            )
-        } else if opts.analyzer_gate {
-            EvalPool::new_gated(graph, evaluator, opts.eval_workers, opts.cache_capacity)
-        } else {
-            EvalPool::new(graph, evaluator, opts.eval_workers, opts.cache_capacity)
-        },
+        pool: EvalPool::with_options(
+            graph,
+            evaluator,
+            opts.eval_workers,
+            opts.cache_capacity,
+            PoolOptions {
+                analyzer_gate: opts.analyzer_gate,
+                delta_eval: opts.delta_eval,
+                region_gate: opts.region_gate,
+            },
+        ),
         space,
         history: History::new(),
         measurements: 0,

@@ -18,14 +18,13 @@
 //! only pays the cheap config-apply step (identical results to a full
 //! re-lowering — see `docs/PERFORMANCE.md`). The re-lowering path is kept
 //! behind [`EvalPool::new_reference`] for differential tests and the
-//! `probe_perf` baseline. Cost-model scoring is *batched*: candidates'
-//! features are gathered into a structure-of-arrays
-//! [`FeatureBatch`] and scored through one
-//! [`Evaluator::time_features_batch`] call per coordinator batch (or per
-//! claimed worker chunk), bit-identical to scalar scoring by that API's
-//! determinism contract. Memo keys are hashed once per candidate, and
-//! neighbor batches derive each candidate's key from its base's key by
-//! patching only the changed words ([`NodeConfig::encode_delta_into`]).
+//! `probe_perf` baseline. Each candidate's features are scored directly
+//! through [`Evaluator::time_features`], the one production definition of
+//! the cost model. Memo keys are hashed once per candidate, and neighbor
+//! batches derive each candidate's key from its base's key by patching
+//! only the changed words ([`NodeConfig::encode_delta_into`]). The
+//! result-preserving opt-ins (analyzer gate, delta evaluation, region
+//! gate) are chosen per pool through [`PoolOptions`].
 //!
 //! Determinism argument: the evaluator is a pure function of
 //! `(graph, config)`, candidate batches are constructed before any
@@ -48,7 +47,6 @@ use flextensor_schedule::config::NodeConfig;
 use flextensor_schedule::delta::{delta_features_with, DeltaScratch};
 use flextensor_schedule::features::KernelFeatures;
 use flextensor_schedule::template::LoweredTemplate;
-use flextensor_sim::batch::FeatureBatch;
 use flextensor_sim::model::{Cost, Evaluator};
 use flextensor_telemetry::{Telemetry, TraceEvent};
 
@@ -68,10 +66,8 @@ const CACHE_SHARDS: usize = 16;
 const INLINE_BATCH: usize = 1024;
 
 /// Fan-out work-claim granularity: a worker claims this many candidates
-/// per `fetch_add` and scores them through one batched cost-model call
-/// ([`Evaluator::time_features_batch`]). Result slots are pre-assigned per
-/// candidate, so the chunk size only changes load balancing and the
-/// batching of the scoring loop — never a result or a counter.
+/// per `fetch_add`. Result slots are pre-assigned per candidate, so the
+/// chunk size only changes load balancing — never a result or a counter.
 const WORKER_CHUNK: usize = 32;
 
 /// FNV-1a for the pool's integer-keyed maps. The standard library's
@@ -405,8 +401,7 @@ pub struct EvalStats {
     /// Real time spent inside batched evaluation, seconds.
     pub wall_clock_s: f64,
     /// Fresh evaluations served by the incremental (delta) fast path
-    /// (always 0 when the pool was not built with
-    /// [`EvalPool::new_delta`]). For delta pools,
+    /// (always 0 unless [`PoolOptions::delta_eval`] is on). For delta pools,
     /// `delta_hits + delta_full == evaluated`.
     pub delta_hits: usize,
     /// Fresh evaluations in a delta pool that needed the full feature
@@ -485,7 +480,7 @@ struct EvalCtx {
     /// candidate would have evaluated to `None` anyway, so gating never
     /// changes a cost — only whether modeled measurement time is spent.
     analyzer_gate: bool,
-    /// When `true` ([`EvalPool::new_delta`]), batches that carry neighbor
+    /// When `true` ([`PoolOptions::delta_eval`]), batches that carry neighbor
     /// structure ([`EvalPool::evaluate_batch_delta`]) evaluate candidates
     /// incrementally from their base's features. Bit-identical to the
     /// plain path (`flextensor_schedule::delta` invariants); only the
@@ -496,7 +491,7 @@ struct EvalCtx {
     /// template-path pools, 1 for reference pools; tests force 0 to
     /// exercise the fan-out path on small batches).
     inline_batch: usize,
-    /// Live interval region gate ([`EvalPool::new_region_gated`]): when
+    /// Live interval region gate ([`PoolOptions::region_gate`]): when
     /// present, each fresh candidate is bucketed into its power-of-two
     /// factor box and skipped when `flextensor_analyze::analyze_region`
     /// certifies the whole box statically illegal. Sound by
@@ -575,108 +570,56 @@ fn region_bucket(cfg: &NodeConfig) -> Option<flextensor_analyze::Region> {
     .ok()
 }
 
-/// What one candidate contributed to a feature batch, before scoring.
-#[derive(Debug, Clone, Copy)]
-struct RowMeta {
-    /// A feature row was pushed; the verdict comes from the batched
-    /// scoring pass. When `false` the verdict is already `None`
-    /// (config-invalid or gate-rejected).
-    valid: bool,
-    /// The analyzer gate (or a config-level legality error on a gated
-    /// pool) rejected the point before the cost model.
-    pruned: bool,
-    /// The incremental (delta) feature path served the point.
-    took_delta: bool,
-}
-
 impl EvalCtx {
-    /// Derives the features for one point — incrementally from `base` when
-    /// delta evaluation is on and a base is available — and appends them to
-    /// `batch` as one row when the point is scoreable. Scoring happens
-    /// separately, over the whole batch, through
-    /// [`Evaluator::time_features_batch`] (bit-identical to scoring rows
-    /// one at a time; see `flextensor_sim::batch`).
+    /// Evaluates one point — deriving its features incrementally from
+    /// `base` when delta evaluation is on and a base is available — and
+    /// returns the `(cost, pruned, took_delta)` triple the reduction step
+    /// consumes. `pruned` marks a static-gate rejection (or, on a gated
+    /// pool, a config-level legality error); `took_delta` marks the
+    /// incremental feature path.
     ///
     /// The delta/full decision is a pure function of `(base, cfg)` — it
     /// never depends on which worker runs the item or in what order — so
     /// results *and counters* are deterministic across worker counts.
-    fn features_into(
+    fn eval_point(
         &self,
         cfg: &NodeConfig,
         base: Option<&(NodeConfig, KernelFeatures)>,
         scratch: &mut DeltaScratch,
-        batch: &mut FeatureBatch,
-    ) -> RowMeta {
+    ) -> (Option<Cost>, bool, bool) {
         if self.region_rejects(cfg) {
-            return RowMeta {
-                valid: false,
-                pruned: true,
-                took_delta: false,
-            };
+            return (None, true, false);
         }
-        if let (true, Some((base_cfg, base_features))) = (self.delta_eval, base) {
-            return match delta_features_with(&self.template, base_cfg, base_features, cfg, scratch)
-            {
-                Ok((features, took_delta)) => {
-                    if self.analyzer_gate
-                        && flextensor_analyze::gate_rejects(self.evaluator.device(), &features)
-                            .is_some()
-                    {
-                        RowMeta {
-                            valid: false,
-                            pruned: true,
-                            took_delta,
-                        }
-                    } else {
-                        batch.push(&features);
-                        RowMeta {
-                            valid: true,
-                            pruned: false,
-                            took_delta,
-                        }
-                    }
+        let (features, took_delta) = match (self.delta_eval, base) {
+            (true, Some((base_cfg, base_features))) => {
+                match delta_features_with(&self.template, base_cfg, base_features, cfg, scratch) {
+                    Ok((features, took_delta)) => (Some(features), took_delta),
+                    Err(_) => (None, false),
                 }
-                // Invalid for the graph: same verdict (and same pruned
-                // semantics) as the full path below.
-                Err(_) => RowMeta {
-                    valid: false,
-                    pruned: self.analyzer_gate,
-                    took_delta: false,
-                },
-            };
-        }
-        let features = if self.use_template {
-            self.template.features(cfg).ok()
-        } else {
-            let target = self.evaluator.target();
-            flextensor_schedule::lower::lower(&self.graph, cfg, target)
-                .ok()
-                .map(|k| k.features)
+            }
+            _ if self.use_template => (self.template.features(cfg).ok(), false),
+            _ => {
+                let target = self.evaluator.target();
+                let kernel = flextensor_schedule::lower::lower(&self.graph, cfg, target).ok();
+                (kernel.map(|k| k.features), false)
+            }
         };
         let Some(features) = features else {
             // Invalid for the graph (a config-level legality error); gated
             // pools report it as pruned, plain pools as a bare `None`.
-            return RowMeta {
-                valid: false,
-                pruned: self.analyzer_gate,
-                took_delta: false,
-            };
+            return (None, self.analyzer_gate, false);
         };
         if self.analyzer_gate
             && flextensor_analyze::gate_rejects(self.evaluator.device(), &features).is_some()
         {
-            return RowMeta {
-                valid: false,
-                pruned: true,
-                took_delta: false,
-            };
+            return (None, true, took_delta);
         }
-        batch.push(&features);
-        RowMeta {
-            valid: true,
-            pruned: false,
-            took_delta: false,
-        }
+        let flops = self.flops();
+        let cost = self
+            .evaluator
+            .time_features(&features)
+            .map(|seconds| Cost { seconds, flops });
+        (cost, false, took_delta)
     }
 
     /// The live region gate: buckets `cfg` into the power-of-two factor
@@ -736,32 +679,6 @@ impl EvalCtx {
             self.graph.flops()
         }
     }
-
-    /// Scores the gathered feature rows and zips the verdicts back onto
-    /// the per-candidate metadata, producing the `(cost, pruned,
-    /// took_delta)` triples the reduction step consumes. `scores` is the
-    /// caller's reusable output buffer for the batched scoring call.
-    fn score_batch(
-        &self,
-        batch: &FeatureBatch,
-        metas: &[RowMeta],
-        scores: &mut Vec<Option<f64>>,
-        out: &mut dyn FnMut(usize, (Option<Cost>, bool, bool)),
-    ) {
-        self.evaluator.time_features_batch(batch, scores);
-        let flops = self.flops();
-        let mut row = 0usize;
-        for (k, m) in metas.iter().enumerate() {
-            let cost = if m.valid {
-                let s = scores[row];
-                row += 1;
-                s.map(|seconds| Cost { seconds, flops })
-            } else {
-                None
-            };
-            out(k, (cost, m.pruned, m.took_delta));
-        }
-    }
 }
 
 /// One dispatched batch: workers claim indices from `next` and write into
@@ -785,7 +702,7 @@ struct BatchJob {
 /// thread spawn per candidate.
 pub struct EvalPool {
     ctx: Arc<EvalCtx>,
-    cache: Arc<MemoCache>,
+    cache: MemoCache,
     workers: usize,
     senders: Vec<Sender<Arc<BatchJob>>>,
     done_rx: Option<Receiver<()>>,
@@ -799,15 +716,12 @@ pub struct EvalPool {
     /// result vector: the flat key buffer (all candidate encodings back to
     /// back), the end offset of each key in it, the per-key hash (computed
     /// once, reused by peek / duplicate check / insert), the flat buffer
-    /// of base keys for delta batches, and the serial-path feature, batch,
-    /// and score scratch.
+    /// of base keys for delta batches, and the serial path's delta arena.
     key_buf: Vec<i64>,
     key_ends: Vec<usize>,
     key_hashes: Vec<u64>,
     base_key_buf: Vec<i64>,
     inline_scratch: DeltaScratch,
-    feature_batch: FeatureBatch,
-    score_buf: Vec<Option<f64>>,
 }
 
 impl std::fmt::Debug for EvalPool {
@@ -830,103 +744,70 @@ pub fn resolve_workers(requested: usize) -> usize {
     }
 }
 
+/// The result-preserving opt-ins of an [`EvalPool`], all off by default.
+/// None of them changes a returned cost; each only changes how much work
+/// (and modeled measurement time) a candidate costs.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PoolOptions {
+    /// Static analyzer gate: candidates whose lowered features trip an
+    /// `Error`-level `flextensor-analyze` legality rule are rejected
+    /// *before* the cost model runs ([`EvalOutcome::pruned`],
+    /// [`EvalStats::pruned`]). The gate only rejects candidates the
+    /// evaluator would have scored `None`.
+    pub analyzer_gate: bool,
+    /// Incremental (delta) evaluation: batches submitted through
+    /// [`EvalPool::evaluate_batch_delta`] recompute only the features a
+    /// candidate's diff against its base can affect (see
+    /// `flextensor_schedule::delta`); [`EvalStats::delta_hits`] /
+    /// [`EvalStats::delta_full`] count how often the fast path applied.
+    pub delta_eval: bool,
+    /// Live interval region gate: each fresh candidate is bucketed into
+    /// the power-of-two factor box around it, the box is analyzed once
+    /// through [`flextensor_analyze::analyze_region`], and candidates
+    /// whose whole box is certified statically illegal are rejected
+    /// before feature lowering ([`EvalStats::region_pruned`]). An illegal
+    /// region only contains candidates the evaluator would have scored
+    /// `None`.
+    pub region_gate: bool,
+}
+
 impl EvalPool {
     /// A pool of `workers` threads (0 = all cores; 1 = evaluate on the
     /// calling thread, no threads spawned) with a fresh memo cache of
-    /// `cache_capacity` entries.
+    /// `cache_capacity` entries and every opt-in off.
     pub fn new(
         graph: &Graph,
         evaluator: &Evaluator,
         workers: usize,
         cache_capacity: usize,
     ) -> EvalPool {
-        EvalPool::with_cache(
+        EvalPool::with_options(
             graph,
             evaluator,
             workers,
-            Arc::new(MemoCache::new(cache_capacity)),
+            cache_capacity,
+            PoolOptions::default(),
         )
     }
 
-    /// A pool like [`EvalPool::new`] with the static analyzer gate
-    /// enabled: candidates whose lowered features trip an `Error`-level
-    /// `flextensor-analyze` legality rule are rejected *before* the cost
-    /// model runs ([`EvalOutcome::pruned`], [`EvalStats::pruned`]).
-    /// Because the gate only rejects candidates the evaluator would have
-    /// scored `None`, every returned cost is bit-identical to an ungated
-    /// pool's.
-    pub fn new_gated(
+    /// A pool like [`EvalPool::new`] with the given opt-ins. Every
+    /// returned cost is bit-identical to a plain pool's, whatever the
+    /// options.
+    pub fn with_options(
         graph: &Graph,
         evaluator: &Evaluator,
         workers: usize,
         cache_capacity: usize,
+        options: PoolOptions,
     ) -> EvalPool {
         EvalPool::build(
             graph,
             evaluator,
             workers,
-            Arc::new(MemoCache::new(cache_capacity)),
+            cache_capacity,
             true,
-            true,
-            false,
-            false,
-        )
-    }
-
-    /// A pool with the live interval **region gate** enabled: each fresh
-    /// candidate is bucketed into the power-of-two factor box around it,
-    /// the box is analyzed once through
-    /// [`flextensor_analyze::analyze_region`], and candidates whose whole
-    /// box is certified statically illegal are rejected *before* feature
-    /// lowering ([`EvalOutcome::pruned`], [`EvalStats::region_pruned`]).
-    /// Because an illegal region only contains candidates the evaluator
-    /// would have scored `None`, every returned cost is bit-identical to
-    /// an ungated pool's. `analyzer_gate` and `delta_eval` compose exactly
-    /// as in [`EvalPool::new_gated`] / [`EvalPool::new_delta`].
-    pub fn new_region_gated(
-        graph: &Graph,
-        evaluator: &Evaluator,
-        workers: usize,
-        cache_capacity: usize,
-        analyzer_gate: bool,
-        delta_eval: bool,
-    ) -> EvalPool {
-        EvalPool::build(
-            graph,
-            evaluator,
-            workers,
-            Arc::new(MemoCache::new(cache_capacity)),
-            true,
-            analyzer_gate,
-            delta_eval,
-            true,
-        )
-    }
-
-    /// A pool with incremental (delta) candidate evaluation enabled:
-    /// batches submitted through [`EvalPool::evaluate_batch_delta`]
-    /// recompute only the features a candidate's diff against its base
-    /// can affect, instead of the full feature set. Results are
-    /// bit-identical to a plain pool's (see `flextensor_schedule::delta`);
-    /// [`EvalStats::delta_hits`] / [`EvalStats::delta_full`] count how
-    /// often the fast path applied. `analyzer_gate` composes the static
-    /// pruning gate exactly as in [`EvalPool::new_gated`].
-    pub fn new_delta(
-        graph: &Graph,
-        evaluator: &Evaluator,
-        workers: usize,
-        cache_capacity: usize,
-        analyzer_gate: bool,
-    ) -> EvalPool {
-        EvalPool::build(
-            graph,
-            evaluator,
-            workers,
-            Arc::new(MemoCache::new(cache_capacity)),
-            true,
-            analyzer_gate,
-            true,
-            false,
+            options,
+            INLINE_BATCH,
         )
     }
 
@@ -942,64 +823,26 @@ impl EvalPool {
         workers: usize,
         cache_capacity: usize,
     ) -> EvalPool {
+        // Re-lowering costs ~2 orders of magnitude more per point than
+        // the template path, so reference pools fan out any batch.
         EvalPool::build(
             graph,
             evaluator,
             workers,
-            Arc::new(MemoCache::new(cache_capacity)),
+            cache_capacity,
             false,
-            false,
-            false,
-            false,
+            PoolOptions::default(),
+            1,
         )
     }
 
-    /// A pool sharing an existing memo cache (e.g. across searches over
-    /// the same graph and device).
-    pub fn with_cache(
-        graph: &Graph,
-        evaluator: &Evaluator,
-        workers: usize,
-        cache: Arc<MemoCache>,
-    ) -> EvalPool {
-        EvalPool::build(graph, evaluator, workers, cache, true, false, false, false)
-    }
-
-    #[allow(clippy::too_many_arguments)]
     fn build(
         graph: &Graph,
         evaluator: &Evaluator,
         workers: usize,
-        cache: Arc<MemoCache>,
+        cache_capacity: usize,
         use_template: bool,
-        analyzer_gate: bool,
-        delta_eval: bool,
-        region_gate: bool,
-    ) -> EvalPool {
-        let inline_batch = if use_template { INLINE_BATCH } else { 1 };
-        EvalPool::build_with_inline(
-            graph,
-            evaluator,
-            workers,
-            cache,
-            use_template,
-            analyzer_gate,
-            delta_eval,
-            region_gate,
-            inline_batch,
-        )
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn build_with_inline(
-        graph: &Graph,
-        evaluator: &Evaluator,
-        workers: usize,
-        cache: Arc<MemoCache>,
-        use_template: bool,
-        analyzer_gate: bool,
-        delta_eval: bool,
-        region_gate: bool,
+        options: PoolOptions,
         inline_batch: usize,
     ) -> EvalPool {
         let workers = resolve_workers(workers);
@@ -1008,10 +851,10 @@ impl EvalPool {
             evaluator: evaluator.clone(),
             template: LoweredTemplate::new(graph, evaluator.target()),
             use_template,
-            analyzer_gate,
-            delta_eval,
+            analyzer_gate: options.analyzer_gate,
+            delta_eval: options.delta_eval,
             inline_batch,
-            region_gate: region_gate.then(|| RegionGateState {
+            region_gate: options.region_gate.then(|| RegionGateState {
                 memo: Mutex::new(FnvMap::default()),
                 pruned: AtomicUsize::new(0),
             }),
@@ -1028,39 +871,23 @@ impl EvalPool {
                 let ctx = Arc::clone(&ctx);
                 let done_tx = done_tx.clone();
                 handles.push(std::thread::spawn(move || {
-                    // Per-worker scratch, reused across batches: the delta
-                    // arena, the feature-batch columns, and the score
-                    // buffer.
+                    // Per-worker delta arena, reused across batches.
                     let mut scratch = DeltaScratch::new();
-                    let mut batch = FeatureBatch::new();
-                    let mut scores: Vec<Option<f64>> = Vec::new();
-                    let mut metas: Vec<RowMeta> = Vec::new();
                     while let Ok(job) = job_rx.recv() {
                         loop {
-                            // Claim a chunk: derive features for every
-                            // candidate in it, then score them through one
-                            // batched cost-model call. Slots are
-                            // pre-assigned, so chunking only changes load
-                            // balancing, never a result.
+                            // Claim a chunk and evaluate it into the
+                            // pre-assigned slots: chunking only changes
+                            // load balancing, never a result.
                             let start = job.next.fetch_add(WORKER_CHUNK, Ordering::Relaxed);
                             if start >= job.configs.len() {
                                 break;
                             }
                             let end = (start + WORKER_CHUNK).min(job.configs.len());
-                            batch.clear();
-                            metas.clear();
                             for i in start..end {
                                 let base = job.base_idx[i].map(|b| &job.bases[b]);
-                                metas.push(ctx.features_into(
-                                    &job.configs[i],
-                                    base,
-                                    &mut scratch,
-                                    &mut batch,
-                                ));
+                                let triple = ctx.eval_point(&job.configs[i], base, &mut scratch);
+                                let _ = job.results[i].set(triple);
                             }
-                            ctx.score_batch(&batch, &metas, &mut scores, &mut |k, triple| {
-                                let _ = job.results[start + k].set(triple);
-                            });
                         }
                         drop(job);
                         if done_tx.send(()).is_err() {
@@ -1072,7 +899,7 @@ impl EvalPool {
         }
         EvalPool {
             ctx,
-            cache,
+            cache: MemoCache::new(cache_capacity),
             workers,
             senders,
             done_rx,
@@ -1087,8 +914,6 @@ impl EvalPool {
             key_hashes: Vec::new(),
             base_key_buf: Vec::new(),
             inline_scratch: DeltaScratch::new(),
-            feature_batch: FeatureBatch::new(),
-            score_buf: Vec::new(),
         }
     }
 
@@ -1104,26 +929,17 @@ impl EvalPool {
         self.ctx.use_template
     }
 
-    /// Whether the static analyzer gate is enabled
-    /// ([`EvalPool::new_gated`]).
-    pub fn analyzer_gate(&self) -> bool {
-        self.ctx.analyzer_gate
-    }
-
-    /// Whether incremental (delta) evaluation is enabled
-    /// ([`EvalPool::new_delta`]).
-    pub fn delta_eval(&self) -> bool {
-        self.ctx.delta_eval
-    }
-
-    /// Whether the live interval region gate is enabled
-    /// ([`EvalPool::new_region_gated`]).
-    pub fn region_gate(&self) -> bool {
-        self.ctx.region_gate.is_some()
+    /// The opt-ins this pool was built with.
+    pub fn options(&self) -> PoolOptions {
+        PoolOptions {
+            analyzer_gate: self.ctx.analyzer_gate,
+            delta_eval: self.ctx.delta_eval,
+            region_gate: self.ctx.region_gate.is_some(),
+        }
     }
 
     /// The memo cache in front of the evaluator.
-    pub fn cache(&self) -> &Arc<MemoCache> {
+    pub fn cache(&self) -> &MemoCache {
         &self.cache
     }
 
@@ -1140,7 +956,7 @@ impl EvalPool {
     /// of `bases` by a single schedule move: `base_of[i]` names the base
     /// (an index into `bases`) candidate `configs[i]` was derived from.
     ///
-    /// On a delta pool ([`EvalPool::new_delta`]) each base's features are
+    /// On a delta pool ([`PoolOptions::delta_eval`]) each base's features are
     /// computed once on the coordinator and every fresh candidate is then
     /// evaluated incrementally from its base. On a non-delta pool (or for
     /// a base that does not validate) the batch degrades to the plain
@@ -1282,48 +1098,36 @@ impl EvalPool {
 
         // Evaluate the misses — inline when serial or too small to
         // amortize dispatch (see [`INLINE_BATCH`]), fanned out over the
-        // persistent workers otherwise. Either way the evaluation is
-        // split-phase: features first (delta-aware), then one batched
-        // cost-model scoring call per chunk.
-        let fresh: Vec<(Option<Cost>, bool, bool)> =
-            if self.senders.is_empty() || work.len() <= self.ctx.inline_batch.max(1) {
-                let ctx = &self.ctx;
-                let scratch = &mut self.inline_scratch;
-                let batch = &mut self.feature_batch;
-                batch.clear();
-                let metas: Vec<RowMeta> = work
-                    .iter()
-                    .zip(&base_idx)
-                    .map(|(&i, &b)| {
-                        ctx.features_into(&configs[i], b.map(|bi| &job_bases[bi]), scratch, batch)
-                    })
-                    .collect();
-                let mut fresh: Vec<(Option<Cost>, bool, bool)> =
-                    vec![(None, false, false); metas.len()];
-                ctx.score_batch(batch, &metas, &mut self.score_buf, &mut |k, triple| {
-                    fresh[k] = triple;
-                });
-                fresh
-            } else {
-                let job = Arc::new(BatchJob {
-                    configs: work.iter().map(|&i| configs[i].clone()).collect(),
-                    bases: job_bases,
-                    base_idx,
-                    next: AtomicUsize::new(0),
-                    results: (0..work.len()).map(|_| OnceLock::new()).collect(),
-                });
-                for tx in &self.senders {
-                    tx.send(Arc::clone(&job)).expect("evaluation worker died");
-                }
-                let done = self.done_rx.as_ref().expect("pool has workers");
-                for _ in 0..self.senders.len() {
-                    done.recv().expect("evaluation worker died");
-                }
-                job.results
-                    .iter()
-                    .map(|slot| *slot.get().expect("every claimed slot is filled"))
-                    .collect()
-            };
+        // persistent workers otherwise.
+        let fresh: Vec<(Option<Cost>, bool, bool)> = if self.senders.is_empty()
+            || work.len() <= self.ctx.inline_batch.max(1)
+        {
+            let ctx = &self.ctx;
+            let scratch = &mut self.inline_scratch;
+            work.iter()
+                .zip(&base_idx)
+                .map(|(&i, &b)| ctx.eval_point(&configs[i], b.map(|bi| &job_bases[bi]), scratch))
+                .collect()
+        } else {
+            let job = Arc::new(BatchJob {
+                configs: work.iter().map(|&i| configs[i].clone()).collect(),
+                bases: job_bases,
+                base_idx,
+                next: AtomicUsize::new(0),
+                results: (0..work.len()).map(|_| OnceLock::new()).collect(),
+            });
+            for tx in &self.senders {
+                tx.send(Arc::clone(&job)).expect("evaluation worker died");
+            }
+            let done = self.done_rx.as_ref().expect("pool has workers");
+            for _ in 0..self.senders.len() {
+                done.recv().expect("evaluation worker died");
+            }
+            job.results
+                .iter()
+                .map(|slot| *slot.get().expect("every claimed slot is filled"))
+                .collect()
+        };
 
         // Reduce in candidate order: publish fresh results, then resolve
         // duplicates as hits.
@@ -1480,6 +1284,18 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    const GATED: PoolOptions = PoolOptions {
+        analyzer_gate: true,
+        delta_eval: false,
+        region_gate: false,
+    };
+
+    const DELTA: PoolOptions = PoolOptions {
+        analyzer_gate: false,
+        delta_eval: true,
+        region_gate: false,
+    };
+
     fn setup() -> (Graph, Evaluator) {
         (ops::gemm(64, 64, 64), Evaluator::new(Device::Gpu(v100())))
     }
@@ -1609,8 +1425,8 @@ mod tests {
         cands.push(bad);
         let plain = EvalPool::new(&g, &ev, 1, 1 << 16).evaluate_batch(&cands);
         for workers in [1, 4] {
-            let mut pool = EvalPool::new_gated(&g, &ev, workers, 1 << 16);
-            assert!(pool.analyzer_gate());
+            let mut pool = EvalPool::with_options(&g, &ev, workers, 1 << 16, GATED);
+            assert!(pool.options().analyzer_gate);
             let gated = pool.evaluate_batch(&cands);
             for (p, q) in plain.iter().zip(&gated) {
                 assert_eq!(p.cost, q.cost);
@@ -1658,8 +1474,8 @@ mod tests {
         let plain = EvalPool::new(&g, &ev, 1, 1 << 16).evaluate_batch(&cands);
         let mut counter_runs = Vec::new();
         for workers in [1, 4] {
-            let mut pool = EvalPool::new_delta(&g, &ev, workers, 1 << 16, false);
-            assert!(pool.delta_eval());
+            let mut pool = EvalPool::with_options(&g, &ev, workers, 1 << 16, DELTA);
+            assert!(pool.options().delta_eval);
             let outcomes = pool.evaluate_batch_delta(&cands, &base_of, &bases);
             assert_eq!(outcomes, plain, "delta pool must be bit-identical");
             let s = pool.stats();
@@ -1683,17 +1499,11 @@ mod tests {
         let space = crate::space::Space::new(&g, ev.target());
         let (cands, base_of, bases) = neighbor_batch(&space, 9, 4);
         let make = |delta: bool, inline_batch: usize| {
-            EvalPool::build_with_inline(
-                &g,
-                &ev,
-                4,
-                Arc::new(MemoCache::new(1 << 16)),
-                true,
-                false,
-                delta,
-                false,
-                inline_batch,
-            )
+            let options = PoolOptions {
+                delta_eval: delta,
+                ..PoolOptions::default()
+            };
+            EvalPool::build(&g, &ev, 4, 1 << 16, true, options, inline_batch)
         };
         let inline_plain = make(false, INLINE_BATCH).evaluate_batch(&cands);
         let fanned_plain = make(false, 0).evaluate_batch(&cands);
@@ -1718,7 +1528,7 @@ mod tests {
         let (g, ev) = setup();
         let space = crate::space::Space::new(&g, ev.target());
         let (cands, base_of, bases) = neighbor_batch(&space, 10, 4);
-        let mut pool = EvalPool::new_delta(&g, &ev, 1, 1 << 16, false);
+        let mut pool = EvalPool::with_options(&g, &ev, 1, 1 << 16, DELTA);
         let via_delta = pool.evaluate_batch_delta(&cands, &base_of, &bases);
         let evaluated = pool.stats().evaluated;
         let via_plain = pool.evaluate_batch(&cands);
@@ -1759,7 +1569,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(7);
         let cands: Vec<_> = (0..16).map(|_| space.random_point(&mut rng)).collect();
         let plain = EvalPool::new(&g, &ev, 4, 1 << 16).evaluate_batch(&cands);
-        let mut pool = EvalPool::new_delta(&g, &ev, 4, 1 << 16, false);
+        let mut pool = EvalPool::with_options(&g, &ev, 4, 1 << 16, DELTA);
         assert_eq!(pool.evaluate_batch(&cands), plain);
         let s = pool.stats();
         assert_eq!(s.delta_hits, 0);
@@ -1771,11 +1581,16 @@ mod tests {
         let (g, ev) = setup();
         let space = crate::space::Space::new(&g, ev.target());
         let (cands, base_of, bases) = neighbor_batch(&space, 8, 4);
-        let mut gated = EvalPool::new_gated(&g, &ev, 1, 1 << 16);
+        let mut gated = EvalPool::with_options(&g, &ev, 1, 1 << 16, GATED);
         let expected = gated.evaluate_batch(&cands);
         for workers in [1, 4] {
-            let mut pool = EvalPool::new_delta(&g, &ev, workers, 1 << 16, true);
-            assert!(pool.analyzer_gate() && pool.delta_eval());
+            let options = PoolOptions {
+                analyzer_gate: true,
+                delta_eval: true,
+                region_gate: false,
+            };
+            let mut pool = EvalPool::with_options(&g, &ev, workers, 1 << 16, options);
+            assert_eq!(pool.options(), options);
             let outcomes = pool.evaluate_batch_delta(&cands, &base_of, &bases);
             assert_eq!(outcomes, expected);
             assert_eq!(pool.stats().pruned, gated.stats().pruned);

@@ -13,12 +13,10 @@ use flextensor_schedule::features::KernelFeatures;
 use crate::spec::CpuSpec;
 
 /// The exact subset of [`KernelFeatures`] the CPU model reads, flattened
-/// into one `Copy` row. The scalar entry point builds one row per call;
-/// [`crate::batch::FeatureBatch`] stores the same columns
-/// structure-of-arrays and feeds them through the identical
-/// [`cpu_time_row`] arithmetic, which is what makes the batched path
-/// bit-identical to the scalar one by construction.
-#[derive(Debug, Clone, Copy, Default)]
+/// into one `Copy` row: the input of the test-only reference model
+/// [`cpu_time_row`].
+#[cfg(test)]
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct CpuRow {
     pub flops: u64,
     pub grid: i64,
@@ -36,11 +34,8 @@ pub(crate) struct CpuRow {
     pub contiguous_inner: bool,
 }
 
+#[cfg(test)]
 impl CpuRow {
-    // The scalar entry point now routes through the generic body; row
-    // construction from features remains as the reference side of the
-    // generic-vs-row differential tests.
-    #[cfg_attr(not(test), allow(dead_code))]
     pub(crate) fn of(f: &KernelFeatures) -> CpuRow {
         CpuRow {
             flops: f.flops,
@@ -67,9 +62,9 @@ impl CpuRow {
 /// interface uniform across targets).
 ///
 /// Routes through the generic model body at `S = f64`
-/// ([`crate::generic::cpu_time_generic`]), bit-identical to
-/// `cpu_time_row` (pinned by the differential tests in
-/// `crate::generic`); the batched path keeps the concrete row kernel.
+/// ([`crate::generic::cpu_time_generic`]), the only production definition
+/// of the model; the differential tests in `crate::generic` pin it bit for
+/// bit against the test-only row reference `cpu_time_row` below.
 pub fn cpu_time(spec: &CpuSpec, f: &KernelFeatures, code_quality: f64) -> Option<f64> {
     Some(crate::generic::cpu_time_generic::<f64>(
         spec,
@@ -78,8 +73,10 @@ pub fn cpu_time(spec: &CpuSpec, f: &KernelFeatures, code_quality: f64) -> Option
     ))
 }
 
-/// The CPU model arithmetic over one feature row — the single
-/// implementation shared by the scalar and batched entry points.
+/// The CPU model written directly over one concrete feature row — the
+/// reference that the production generic body is differential-tested
+/// against, kept only for tests.
+#[cfg(test)]
 pub(crate) fn cpu_time_row(spec: &CpuSpec, f: CpuRow, code_quality: f64) -> f64 {
     // ---- threading ----------------------------------------------------
     let chunks = f.parallel_chunks.max(1);

@@ -1,14 +1,17 @@
 //! The device cost models, written once over the abstract [`Scalar`]
 //! domain.
 //!
-//! Each body below mirrors its concrete counterpart
-//! ([`crate::gpu::gpu_time`], [`crate::cpu::cpu_time`],
-//! [`crate::fpga::fpga_time`]) operation for operation, in the same
-//! order and association. Instantiated at `S = f64` every trait method
-//! performs exactly the IEEE-754 operation the concrete model performs,
-//! so the generic path is **bit-identical** to the hand-written one —
-//! pinned by the differential tests in this module, and relied on by the
-//! public scalar entry points, which now route through these bodies.
+//! These bodies are the only production definition of each model: the
+//! public entry points ([`crate::gpu::gpu_time`], [`crate::cpu::cpu_time`],
+//! [`crate::fpga::fpga_time`]) and therefore
+//! [`crate::model::Evaluator::time_features`] run them at `S = f64`. Each
+//! body mirrors a hand-written row model (`gpu_time_row`, `cpu_time_row`,
+//! `fpga_time_row`, compiled only under `cfg(test)`) operation for
+//! operation, in the same order and association. Instantiated at
+//! `S = f64` every trait method performs exactly the IEEE-754 operation
+//! the row model performs, so the generic path is **bit-identical** to it
+//! — pinned by the differential tests in this module over hand-picked and
+//! seeded random feature rows on every device.
 //!
 //! Instantiated at `S =` [`Interval`] the same bodies compute a sound
 //! enclosure of every concrete result reachable from member inputs
@@ -533,7 +536,8 @@ mod tests {
     use crate::cpu::CpuRow;
     use crate::fpga::FpgaRow;
     use crate::gpu::GpuRow;
-    use crate::spec::{v100, vu9p, xeon_e5_2699_v4};
+    use crate::model::Evaluator;
+    use crate::spec::{v100, vu9p, xeon_e5_2699_v4, Device};
     use flextensor_ir::ops;
     use flextensor_schedule::config::{NodeConfig, TargetKind};
     use flextensor_schedule::lower::lower;
@@ -586,43 +590,110 @@ mod tests {
         out
     }
 
-    #[test]
-    fn generic_f64_gpu_is_bit_identical_to_row_path() {
-        let spec = v100();
-        for f in sample_features(TargetKind::Gpu) {
-            let concrete = crate::gpu::gpu_time_row(&spec, GpuRow::of(&f), 0.75);
-            let generic = gpu_time_generic::<f64>(&spec, &GpuIn::of(&f), 0.75);
+    /// Deterministic xorshift so the random rows need no external RNG.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            let mut x = self.0;
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            self.0 = x;
+            x
+        }
+
+        fn pick<'a, T>(&mut self, xs: &'a [T]) -> &'a T {
+            &xs[(self.next() % xs.len() as u64) as usize]
+        }
+    }
+
+    /// `count` feature rows from seeded random (but always valid)
+    /// gemm/conv tilings with every flag drawn at random, so feasible and
+    /// infeasible rows mix on every device.
+    fn random_features(target: TargetKind, seed: u64, count: usize) -> Vec<KernelFeatures> {
+        let gemm = ops::gemm(256, 192, 128);
+        let conv = ops::conv2d(ops::ConvParams::same(1, 32, 64, 3), 14, 14);
+        let mut rng = Rng(seed | 1);
+        let gemm_i: [Vec<i64>; 4] = [
+            vec![8, 1, 16, 2],
+            vec![16, 1, 16, 1],
+            vec![1, 1, 256, 1],
+            vec![4, 4, 4, 4],
+        ];
+        let gemm_j: [Vec<i64>; 3] = [vec![6, 1, 16, 2], vec![12, 1, 16, 1], vec![192, 1, 1, 1]];
+        let gemm_k: [Vec<i64>; 3] = [vec![64, 1, 2], vec![32, 2, 2], vec![128, 1, 1]];
+        let mut out = Vec::with_capacity(count);
+        while out.len() < count {
+            let (g, mut cfg) = if rng.next().is_multiple_of(4) {
+                (&conv, NodeConfig::naive(conv.root_op()))
+            } else {
+                let mut c = NodeConfig::naive(gemm.root_op());
+                c.spatial_splits = vec![rng.pick(&gemm_i).clone(), rng.pick(&gemm_j).clone()];
+                c.reduce_splits = vec![rng.pick(&gemm_k).clone()];
+                (&gemm, c)
+            };
+            cfg.cache_shared = rng.next().is_multiple_of(2);
+            cfg.unroll = rng.next().is_multiple_of(2);
+            cfg.vectorize = rng.next().is_multiple_of(2);
+            if let Ok(kernel) = lower(g, &cfg, target) {
+                out.push(kernel.features);
+            }
+        }
+        out
+    }
+
+    /// The differential inputs: the hand-picked spread plus seeded random
+    /// tilings.
+    fn differential_features(target: TargetKind) -> Vec<KernelFeatures> {
+        let mut out = sample_features(target);
+        for seed in [0x9e37_79b9, 11, 22] {
+            out.extend(random_features(target, seed, 200));
+        }
+        out
+    }
+
+    /// The production scorer ([`Evaluator::time_features`], which runs the
+    /// generic bodies at `S = f64`) must equal the row reference bit for
+    /// bit on every differential input of `dev`'s target.
+    fn assert_matches_reference(
+        dev: Device,
+        code_quality: f64,
+        reference: impl Fn(&KernelFeatures) -> Option<f64>,
+    ) {
+        let ev = Evaluator::new(dev).with_code_quality(code_quality);
+        for f in differential_features(ev.target()) {
             assert_eq!(
-                concrete.map(f64::to_bits),
-                generic.map(f64::to_bits),
+                ev.time_features(&f).map(f64::to_bits),
+                reference(&f).map(f64::to_bits),
                 "diverged on {f:?}"
             );
         }
+    }
+
+    #[test]
+    fn generic_f64_gpu_is_bit_identical_to_row_path() {
+        let spec = v100();
+        assert_matches_reference(Device::Gpu(spec.clone()), 0.75, |f| {
+            crate::gpu::gpu_time_row(&spec, GpuRow::of(f), 0.75)
+        });
     }
 
     #[test]
     fn generic_f64_cpu_is_bit_identical_to_row_path() {
         let spec = xeon_e5_2699_v4();
-        for f in sample_features(TargetKind::Cpu) {
-            let concrete = crate::cpu::cpu_time_row(&spec, CpuRow::of(&f), 0.75);
-            let generic = cpu_time_generic::<f64>(&spec, &CpuIn::of(&f), 0.75);
-            assert_eq!(concrete.to_bits(), generic.to_bits(), "diverged on {f:?}");
-        }
+        assert_matches_reference(Device::Cpu(spec.clone()), 0.75, |f| {
+            Some(crate::cpu::cpu_time_row(&spec, CpuRow::of(f), 0.75))
+        });
     }
 
     #[test]
     fn generic_f64_fpga_is_bit_identical_to_row_path() {
         let spec = vu9p();
-        for f in sample_features(TargetKind::Fpga) {
-            let fp = f.fpga.as_ref().unwrap();
-            let concrete = crate::fpga::fpga_time_row(&spec, FpgaRow::of(f.flops, fp), 0.85);
-            let generic = fpga_time_generic::<f64>(&spec, &FpgaIn::of(f.flops, fp), 0.85);
-            assert_eq!(
-                concrete.map(f64::to_bits),
-                generic.map(f64::to_bits),
-                "diverged on {f:?}"
-            );
-        }
+        assert_matches_reference(Device::Fpga(spec.clone()), 0.85, |f| {
+            let fp = f.fpga.as_ref().expect("lowered for the FPGA target");
+            crate::fpga::fpga_time_row(&spec, FpgaRow::of(f.flops, fp), 0.85)
+        });
     }
 
     #[test]
@@ -740,54 +811,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn dual_path_runs_the_models_and_matches_values() {
-        // The Dual stub must follow exactly the f64 branches: values agree
-        // bit for bit, and the gradient seed survives the smooth stages.
-        let spec = v100();
-        for f in sample_features(TargetKind::Gpu) {
-            let concrete = crate::gpu::gpu_time(&spec, &f, 0.75);
-            let mut d = GpuIn::<crate::scalar::Dual>::of(&f);
-            d.flops = crate::scalar::Dual::variable(f.flops as i64 as f64);
-            let dual = gpu_time_generic(&spec, &d, 0.75);
-            assert_eq!(
-                concrete.map(f64::to_bits),
-                dual.map(|x| x.val.to_bits()),
-                "dual value diverged on {f:?}"
-            );
-            if f.flops > 0 {
-                if let Some(dv) = dual {
-                    assert!(dv.grad >= 0.0, "cost must not decrease in flops");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn unused_concrete_row_helpers_stay_wired() {
-        // The concrete row paths remain the batch-path reference; keep
-        // them exercised from this module so the differential direction
-        // (generic vs. row) is explicit.
-        let spec = v100();
-        let f = sample_features(TargetKind::Gpu).remove(1);
-        assert_eq!(
-            crate::gpu::gpu_time_row(&spec, GpuRow::of(&f), 0.75).map(f64::to_bits),
-            crate::gpu::gpu_time(&spec, &f, 0.75).map(f64::to_bits),
-        );
-        let cf = sample_features(TargetKind::Cpu).remove(1);
-        let cspec = xeon_e5_2699_v4();
-        assert_eq!(
-            crate::cpu::cpu_time_row(&cspec, CpuRow::of(&cf), 0.75).to_bits(),
-            crate::cpu::cpu_time(&cspec, &cf, 0.75).unwrap().to_bits(),
-        );
-        let ff = sample_features(TargetKind::Fpga).remove(4);
-        let fp = ff.fpga.as_ref().unwrap();
-        let fspec = vu9p();
-        assert_eq!(
-            crate::fpga::fpga_time_row(&fspec, FpgaRow::of(ff.flops, fp), 0.85).map(f64::to_bits),
-            crate::fpga::fpga_time(&fspec, &ff, 0.85).map(f64::to_bits),
-        );
     }
 }

@@ -17,13 +17,15 @@
 //!   feasibility constraints.
 //! * [`model`] — [`model::Evaluator`], the "performance value"
 //!   oracle exploration queries (§5.1).
-//! * [`scalar`] / [`generic`] — the models rewritten once over the
-//!   abstract [`scalar::Scalar`] domain, with three instantiations:
-//!   `f64` (bit-identical to the concrete models, and what the scalar
-//!   entry points now route through), outward-rounding
-//!   [`scalar::Interval`] enclosures (powering sound region-level cost
-//!   bounds in `flextensor-analyze`), and the [`scalar::Dual`]
-//!   forward-mode stub reserved for a gradient tuner.
+//! * [`scalar`] / [`generic`] — the models written once over the
+//!   abstract [`scalar::Scalar`] domain, with two instantiations: `f64`,
+//!   the only production definition of each model (every scoring entry
+//!   point, [`model::Evaluator::time_features`] included, routes through
+//!   it), and outward-rounding [`scalar::Interval`] enclosures (powering
+//!   sound region-level cost bounds in `flextensor-analyze`). The
+//!   hand-written per-row models in [`gpu`] / [`cpu`] / [`fpga`] survive
+//!   only under `cfg(test)`, as the reference the `f64` instantiation is
+//!   differential-tested against bit for bit.
 //! * [`library`] — simulated baselines: cuDNN / cuBLAS / PyTorch-native /
 //!   MKL-DNN / hand-optimized OpenCL, modeled as fixed expert schedules
 //!   plus per-shape algorithm selection (Winograd, implicit GEMM, kernel
@@ -48,7 +50,6 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-pub mod batch;
 pub mod cpu;
 pub mod fpga;
 pub mod generic;
@@ -58,7 +59,6 @@ pub mod model;
 pub mod scalar;
 pub mod spec;
 
-pub use batch::FeatureBatch;
 pub use model::{Cost, Evaluator, GENERATED_CODE_QUALITY};
-pub use scalar::{Dual, Interval, IntervalError, Scalar, Trilean};
+pub use scalar::{Interval, IntervalError, Scalar, Trilean};
 pub use spec::{p100, titan_x, v100, vu9p, xeon_e5_2699_v4, CpuSpec, Device, FpgaSpec, GpuSpec};

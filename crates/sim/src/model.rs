@@ -14,7 +14,6 @@ use flextensor_schedule::features::KernelFeatures;
 use flextensor_schedule::lower::lower;
 use flextensor_schedule::template::LoweredTemplate;
 
-use crate::batch::{cpu_time_batch, fpga_time_batch, gpu_time_batch, FeatureBatch};
 use crate::cpu::cpu_time;
 use crate::fpga::fpga_time;
 use crate::gpu::gpu_time;
@@ -121,22 +120,6 @@ impl Evaluator {
                 )
                 .map(|iv| (iv.lo(), iv.hi()))
             }
-        }
-    }
-
-    /// Times a whole batch of pre-computed feature rows in one call,
-    /// writing one entry per row to `out` (cleared first; `None` marks
-    /// infeasible rows). Dispatches on the device once and scores the
-    /// batch through the chunked kernels in [`crate::batch`].
-    ///
-    /// Bit-identical to mapping [`Evaluator::time_features`] over the rows
-    /// — the scalar path is the reference; see the [`crate::batch`]
-    /// determinism contract.
-    pub fn time_features_batch(&self, batch: &FeatureBatch, out: &mut Vec<Option<f64>>) {
-        match &self.device {
-            Device::Gpu(s) => gpu_time_batch(s, batch, self.code_quality, out),
-            Device::Cpu(s) => cpu_time_batch(s, batch, self.code_quality, out),
-            Device::Fpga(s) => fpga_time_batch(s, batch, self.code_quality, out),
         }
     }
 

@@ -3,21 +3,18 @@
 //! The analytical device models in this crate are straight-line
 //! arithmetic: products of efficiencies, a handful of guarded integer
 //! divisions, min/max combines and data-dependent branches. Writing that
-//! arithmetic once against the [`Scalar`] trait gives three model
+//! arithmetic once against the [`Scalar`] trait gives two model
 //! instantiations from a single body:
 //!
-//! * [`f64`] — the concrete models. The trait implementation performs the
-//!   exact IEEE-754 operation the hand-written models perform, in the same
-//!   order, so the generic path is **bit-identical** to the concrete one
-//!   (pinned by differential tests in `crate::generic`).
+//! * [`f64`] — the production models. The trait implementation performs
+//!   the exact IEEE-754 operation the hand-written row models perform, in
+//!   the same order, so the generic path is **bit-identical** to them
+//!   (pinned by the differential tests in `crate::generic`, where the row
+//!   models survive as the test-only reference).
 //! * [`Interval`] — outward-rounding interval arithmetic. Evaluating a
 //!   model over intervals yields a *sound enclosure* of every concrete
 //!   `f64` result reachable from member inputs, which is what powers the
 //!   region-level branch-and-bound pruning in `flextensor-analyze`.
-//! * [`Dual`] — forward-mode dual numbers, a stub reserved for the
-//!   future gradient tuner (ROADMAP item 1b): carries `d/dx` through the
-//!   smooth parts of the models and a zero derivative through the
-//!   piecewise-constant integer stages.
 //!
 //! # Comparisons are three-valued
 //!
@@ -31,7 +28,7 @@
 
 /// A three-valued truth value: the result of comparing abstract scalars.
 ///
-/// For point domains (`f64`, [`Dual`]) comparisons always return
+/// For the point domain (`f64`) comparisons always return
 /// [`Trilean::True`] or [`Trilean::False`]; [`Trilean::Unknown`] arises
 /// only for set domains ([`Interval`]) whose members disagree.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -495,125 +492,6 @@ impl Scalar for Interval {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Dual: forward-mode derivative stub for the future gradient tuner
-// ---------------------------------------------------------------------------
-
-/// A forward-mode dual number `val + grad·ε`: carries the derivative of
-/// the model output with respect to one (relaxed, continuous) schedule
-/// parameter alongside the value.
-///
-/// This is the smooth-path stub reserved for the Felix-style gradient
-/// tuner of ROADMAP item 1b: `add`/`sub`/`mul`/`div`/`min`/`max`
-/// propagate derivatives by the usual forward-mode rules (min/max pick
-/// the winning operand's derivative), while the integer-division stages
-/// are piecewise constant and propagate a zero derivative. Comparisons
-/// act on the value, so `Dual` follows exactly the branch the concrete
-/// `f64` evaluation takes.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Dual {
-    /// The value component (identical to the `f64` evaluation).
-    pub val: f64,
-    /// The derivative component.
-    pub grad: f64,
-}
-
-impl Dual {
-    /// A constant (zero derivative).
-    pub fn constant(val: f64) -> Dual {
-        Dual { val, grad: 0.0 }
-    }
-
-    /// The seed variable (unit derivative): differentiating with respect
-    /// to this input.
-    pub fn variable(val: f64) -> Dual {
-        Dual { val, grad: 1.0 }
-    }
-}
-
-impl Scalar for Dual {
-    fn from_i64(v: i64) -> Dual {
-        Dual::constant(v as f64)
-    }
-    fn from_f64(v: f64) -> Dual {
-        Dual::constant(v)
-    }
-    fn add(self, rhs: Dual) -> Dual {
-        Dual {
-            val: self.val + rhs.val,
-            grad: self.grad + rhs.grad,
-        }
-    }
-    fn sub(self, rhs: Dual) -> Dual {
-        Dual {
-            val: self.val - rhs.val,
-            grad: self.grad - rhs.grad,
-        }
-    }
-    fn mul(self, rhs: Dual) -> Dual {
-        Dual {
-            val: self.val * rhs.val,
-            grad: self.grad * rhs.val + self.val * rhs.grad,
-        }
-    }
-    fn div(self, rhs: Dual) -> Dual {
-        Dual {
-            val: self.val / rhs.val,
-            grad: (self.grad * rhs.val - self.val * rhs.grad) / (rhs.val * rhs.val),
-        }
-    }
-    fn min(self, rhs: Dual) -> Dual {
-        if self.val <= rhs.val {
-            self
-        } else {
-            rhs
-        }
-    }
-    fn max(self, rhs: Dual) -> Dual {
-        if self.val >= rhs.val {
-            self
-        } else {
-            rhs
-        }
-    }
-    fn floor_int_div(self, rhs: Dual) -> Dual {
-        // Piecewise constant in both operands: zero derivative.
-        Dual::constant(((self.val as i64) / (rhs.val as i64)) as f64)
-    }
-    fn lt(self, rhs: Dual) -> Trilean {
-        Scalar::lt(self.val, rhs.val)
-    }
-    fn le(self, rhs: Dual) -> Trilean {
-        Scalar::le(self.val, rhs.val)
-    }
-    fn select(cond: Trilean, t: Dual, f: Dual) -> Dual {
-        match cond {
-            Trilean::True => t,
-            Trilean::False => f,
-            // Dual comparisons are decided on the value, so an undecided
-            // condition cannot reach a Dual select.
-            Trilean::Unknown => unreachable!("Dual comparisons are always decided"),
-        }
-    }
-    fn constrain_ge(self, bound: Dual) -> Option<Dual> {
-        if self.val < bound.val {
-            None
-        } else {
-            Some(self)
-        }
-    }
-    fn constrain_le(self, bound: Dual) -> Option<Dual> {
-        if self.val > bound.val {
-            None
-        } else {
-            Some(self)
-        }
-    }
-    fn is_multiple_of(self, m: i64) -> Trilean {
-        Scalar::is_multiple_of(self.val, m)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -735,19 +613,5 @@ mod tests {
         assert_eq!(a.ceil_int_div(b), 3.0);
         assert_eq!(a.constrain_ge(8.0), None);
         assert_eq!(a.constrain_le(8.0), Some(a));
-    }
-
-    #[test]
-    fn dual_derivative_of_square_is_two_x() {
-        let x = Dual::variable(3.0);
-        let y = x.mul(x); // x^2
-        assert_eq!(y.val, 9.0);
-        assert_eq!(y.grad, 6.0);
-        // Quotient rule: d/dx (x^2 / (x + 1)) at x = 3.
-        let q = x.mul(x).div(x.add(Dual::constant(1.0)));
-        let expect = (2.0 * 3.0 * 4.0 - 9.0) / 16.0;
-        assert!((q.grad - expect).abs() < 1e-12);
-        // Integer stages are piecewise constant.
-        assert_eq!(x.floor_int_div(Dual::constant(2.0)).grad, 0.0);
     }
 }

@@ -232,7 +232,7 @@ proptest! {
         seed in any::<u64>(),
         n_bases in 2usize..5,
     ) {
-        use flextensor_explore::pool::EvalPool;
+        use flextensor_explore::pool::{EvalPool, PoolOptions};
         use flextensor_sim::model::Evaluator;
         use flextensor_sim::spec::{v100, Device};
         use rand::SeedableRng;
@@ -257,7 +257,11 @@ proptest! {
         let plain = EvalPool::new(&g, &ev, 1, 1 << 16).evaluate_batch(&cands);
         let mut counters = Vec::new();
         for workers in [1usize, 4] {
-            let mut pool = EvalPool::new_delta(&g, &ev, workers, 1 << 16, false);
+            let delta = PoolOptions {
+                delta_eval: true,
+                ..PoolOptions::default()
+            };
+            let mut pool = EvalPool::with_options(&g, &ev, workers, 1 << 16, delta);
             let out = pool.evaluate_batch_delta(&cands, &base_of, &bases);
             prop_assert_eq!(&out, &plain, "workers {}", workers);
             let s = pool.stats();
