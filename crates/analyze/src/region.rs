@@ -20,10 +20,12 @@
 //!    `f64` cost of every feature row inside the bounds — and `None`
 //!    proves every such row infeasible.
 //!
-//! The exploration layer uses these verdicts as a branch-and-bound gate
-//! (`SearchOptions::region_gate`): regions whose certified lower bound
-//! exceeds the incumbent best cannot contain an improvement, and
-//! `Illegal` regions cannot contain a feasible candidate at all.
+//! The exploration layer's live gate (`SearchOptions::region_gate`) uses
+//! the `Illegal` verdict: such a region cannot contain a feasible
+//! candidate, so its members skip the cost model. `Bounded` verdicts are
+//! checked by the conformance region tier and reported by the region
+//! audit; a branch-and-bound consumer that prunes on `lo` waits until the
+//! bounds are tight.
 //!
 //! [`LoweredTemplate::feature_bounds`]: flextensor_schedule::template::LoweredTemplate::feature_bounds
 //! [`Evaluator::time_features_interval`]: flextensor_sim::model::Evaluator::time_features_interval
@@ -286,22 +288,6 @@ impl Region {
             && self.inline_data.admits(cfg.inline_data)
     }
 
-    /// The config with the fixed discrete coordinates (splits are not
-    /// meaningful on it).
-    pub fn base(&self) -> &NodeConfig {
-        &self.base
-    }
-
-    /// Inclusive `(lo, hi)` factor ranges per spatial axis and level.
-    pub fn spatial_ranges(&self) -> &[Vec<(i64, i64)>] {
-        &self.spatial_ranges
-    }
-
-    /// Inclusive `(lo, hi)` factor ranges per reduce axis and level.
-    pub fn reduce_ranges(&self) -> &[Vec<(i64, i64)>] {
-        &self.reduce_ranges
-    }
-
     /// The number of distinct flag assignments members may take (1–16).
     pub fn flag_assignment_count(&self) -> usize {
         self.unroll.options().len()
@@ -385,8 +371,8 @@ pub fn analyze_region(tpl: &LoweredTemplate, region: &Region, ev: &Evaluator) ->
     let root = tpl.root();
     // Stage 1: necessary conditions on the factor products.
     for (kind, axes, ranges) in [
-        ("spatial_splits", &root.spatial, region.spatial_ranges()),
-        ("reduce_splits", &root.reduce, region.reduce_ranges()),
+        ("spatial_splits", &root.spatial, &region.spatial_ranges),
+        ("reduce_splits", &root.reduce, &region.reduce_ranges),
     ] {
         for (i, (axis, r)) in axes.iter().zip(ranges).enumerate() {
             let prod_lo: i64 = r.iter().map(|&(l, _)| l.max(1)).product();

@@ -18,6 +18,7 @@ use flextensor_sim::model::Evaluator;
 use flextensor_sim::spec::{v100, Device};
 
 fn main() {
+    flextensor_bench::harness::declare_flags(&["trials", "layer"]);
     let trials: usize = arg("trials", 100);
     let layer: String = arg("layer", "C9".to_string());
     let g = yolo_layer(&layer).expect("known layer").graph(1);

@@ -79,6 +79,7 @@ fn schedule_c(op: &flextensor_ir::graph::ComputeOp) -> NodeConfig {
 }
 
 fn main() {
+    flextensor_bench::harness::declare_flags(&[]);
     let gpu_ev = Evaluator::new(Device::Gpu(v100()));
 
     println!("== Figure 1(a): three schedules for C2D on V100, batch 8 ==\n");

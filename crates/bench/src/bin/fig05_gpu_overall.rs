@@ -26,6 +26,7 @@ fn library_time(kind: OperatorKind, g: &flextensor_ir::graph::Graph, gpu: &GpuSp
 }
 
 fn main() {
+    flextensor_bench::harness::declare_flags(&["trials", "cases"]);
     let trials: usize = arg("trials", 60);
     let max_cases: usize = arg("cases", usize::MAX);
     let gpus = [v100(), p100(), titan_x()];

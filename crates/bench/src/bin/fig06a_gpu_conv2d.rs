@@ -11,6 +11,7 @@ use flextensor_sim::library;
 use flextensor_sim::spec::{v100, Device};
 
 fn main() {
+    flextensor_bench::harness::declare_flags(&["trials"]);
     let trials: usize = arg("trials", 120);
     let gpu = v100();
     let opts = OptimizeOptions {

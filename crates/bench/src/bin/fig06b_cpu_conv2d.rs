@@ -13,6 +13,7 @@ use flextensor_sim::library;
 use flextensor_sim::spec::{xeon_e5_2699_v4, Device};
 
 fn main() {
+    flextensor_bench::harness::declare_flags(&["trials"]);
     let trials: usize = arg("trials", 120);
     let cpu = xeon_e5_2699_v4();
     let opts = OptimizeOptions {

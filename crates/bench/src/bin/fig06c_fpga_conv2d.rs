@@ -12,6 +12,7 @@ use flextensor_sim::library;
 use flextensor_sim::spec::{vu9p, Device};
 
 fn main() {
+    flextensor_bench::harness::declare_flags(&["trials"]);
     let trials: usize = arg("trials", 120);
     let fpga = vu9p();
     let opts = OptimizeOptions {

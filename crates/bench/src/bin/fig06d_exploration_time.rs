@@ -21,6 +21,7 @@ use flextensor_sim::model::Evaluator;
 use flextensor_sim::spec::{v100, Device};
 
 fn main() {
+    flextensor_bench::harness::declare_flags(&["rounds", "max-trials", "layers", "workers"]);
     let rounds: usize = arg("rounds", 16);
     let max_trials: usize = arg("max-trials", 400);
     let nlayers: usize = arg("layers", 15);

@@ -26,6 +26,7 @@ fn downsample(series: &[(f64, f64)], n: usize) -> Vec<(f64, f64)> {
 }
 
 fn main() {
+    flextensor_bench::harness::declare_flags(&["trials", "rounds", "points", "workers"]);
     let trials: usize = arg("trials", 150);
     let rounds: usize = arg("rounds", 16);
     let points: usize = arg("points", 12);

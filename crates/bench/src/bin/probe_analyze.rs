@@ -18,7 +18,7 @@
 //! * `region` — the deterministic region-analysis audit: run a seeded
 //!   region-gated search on the three `probe_perf` workloads and report
 //!   each root factor box's certified cost bound against the realized
-//!   best, plus the live-gate and certification-sweep counters. CI diffs
+//!   best, plus the live gate's counters. CI diffs
 //!   the output against the committed golden copy
 //!   (`crates/conformance/region-golden.txt`). Exit code 1 when any
 //!   certified bound excludes its workload's realized best.
@@ -48,6 +48,7 @@ fn has_flag(name: &str) -> bool {
 }
 
 fn main() -> ExitCode {
+    flextensor_bench::harness::declare_flags(&["corpus", "json", "kind", "target", "encoded"]);
     let mode = std::env::args().nth(1).unwrap_or_else(|| "corpus".into());
     match mode.as_str() {
         "corpus" => run_corpus(),

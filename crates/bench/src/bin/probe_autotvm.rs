@@ -7,6 +7,7 @@ use flextensor_sim::model::Evaluator;
 use flextensor_sim::spec::{v100, Device};
 
 fn main() {
+    flextensor_bench::harness::declare_flags(&[]);
     let ev = Evaluator::new(Device::Gpu(v100()));
     for name in ["C1", "C6", "C8", "C9", "C13"] {
         let g = yolo_layer(name).unwrap().graph(1);

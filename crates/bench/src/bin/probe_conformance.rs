@@ -31,6 +31,7 @@ fn corpus_dir() -> PathBuf {
 }
 
 fn main() -> ExitCode {
+    flextensor_bench::harness::declare_flags(&["corpus", "seed", "iters"]);
     let mode = std::env::args().nth(1).unwrap_or_else(|| "fuzz".into());
     match mode.as_str() {
         "fuzz" => run_fuzz(),

@@ -78,6 +78,10 @@ fn summary_row(csv: &mut String, phase: &str, r: &GraphTuneReport) {
 }
 
 fn main() {
+    flextensor_bench::harness::declare_flags(&[
+        "network", "batch", "budget", "rounds", "pilot", "chunk", "workers", "seed", "out",
+        "fixture", "strict",
+    ]);
     let network: String = arg("network", "shuffle".to_string());
     let batch: i64 = arg("batch", 1);
     let budget: usize = arg("budget", 48);

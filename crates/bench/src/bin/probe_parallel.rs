@@ -10,11 +10,17 @@
 //!   count can change wall-clock only);
 //! * the memo-cache hit rate (repeat visits cost zero modeled time).
 //!
-//! Flags: `--trials N` (default 200), `--starts N` (default 8),
+//! Flags: `--trials N` (default 200), `--starts N` (default 32),
 //! `--workers N` (parallel run's workers, default 8; 0 = all cores),
 //! `--layer NAME` (YOLO conv2d layer, default C6), `--method M`
 //! (`p`, `q`, or `walk`; default `p` — the P-method evaluates every
 //! applicable direction, so its batches are the widest).
+//!
+//! The pool evaluates template-path batches of up to 1024 fresh
+//! candidates on the coordinator, since fan-out costs more than it saves
+//! below that. The defaults (32 starts, 64 initial samples, C6, P-method)
+//! give batches of over a thousand fresh candidates, so the parallel run
+//! really uses its workers.
 
 use flextensor_bench::harness::{arg, eval_summary, fmt_time, save_csv, Table};
 use flextensor_explore::methods::{search, Method, SearchOptions, SearchResult};
@@ -23,8 +29,9 @@ use flextensor_sim::model::Evaluator;
 use flextensor_sim::spec::{v100, Device};
 
 fn main() {
+    flextensor_bench::harness::declare_flags(&["trials", "starts", "workers", "layer", "method"]);
     let trials: usize = arg("trials", 200);
-    let starts: usize = arg("starts", 8);
+    let starts: usize = arg("starts", 32);
     let workers: usize = arg("workers", 8);
     let layer: String = arg("layer", "C6".to_string());
     let method = match arg("method", "p".to_string()).as_str() {
@@ -43,7 +50,7 @@ fn main() {
         let opts = SearchOptions {
             trials,
             starts,
-            initial_samples: 16,
+            initial_samples: 64,
             eval_workers,
             ..SearchOptions::default()
         };

@@ -354,6 +354,16 @@ const DELTA: PoolOptions = PoolOptions {
 };
 
 fn main() {
+    flextensor_bench::harness::declare_flags(&[
+        "seed",
+        "workers",
+        "candidates",
+        "budget-s",
+        "out",
+        "db",
+        "check",
+        "floor-file",
+    ]);
     let seed: u64 = arg("seed", 2024);
     let workers: usize = arg("workers", 4);
     let candidates: usize = arg("candidates", 512);

@@ -6,6 +6,7 @@ use flextensor_sim::model::Evaluator;
 use flextensor_sim::spec::{v100, Device};
 
 fn main() {
+    flextensor_bench::harness::declare_flags(&[]);
     let trials: usize = std::env::args()
         .nth(1)
         .and_then(|s| s.parse().ok())

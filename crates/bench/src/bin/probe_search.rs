@@ -8,6 +8,7 @@ use flextensor_sim::model::Evaluator;
 use flextensor_sim::spec::{v100, Device};
 
 fn main() {
+    flextensor_bench::harness::declare_flags(&[]);
     let layer = std::env::args().nth(1).unwrap_or_else(|| "C13".into());
     let l = yolo_layer(&layer).expect("known layer");
     let g = l.graph(1);

@@ -45,6 +45,7 @@ fn task_pool() -> Vec<Graph> {
 }
 
 fn main() {
+    flextensor_bench::harness::declare_flags(&["sessions", "workers", "requests", "seed", "out"]);
     let sessions: usize = arg("sessions", 8);
     let workers: usize = arg("workers", 4);
     let requests: usize = arg("requests", 6);

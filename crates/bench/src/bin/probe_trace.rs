@@ -29,6 +29,9 @@ use flextensor_sim::spec::{v100, Device};
 use flextensor_telemetry::{read_trace_file, replay, report, JsonlSink, Telemetry};
 
 fn main() {
+    flextensor_bench::harness::declare_flags(&[
+        "record", "method", "trials", "seed", "workers", "delta",
+    ]);
     let record: String = arg("record", String::new());
     let path = if record.is_empty() {
         match std::env::args().skip(1).find(|a| !a.starts_with("--")) {

@@ -41,6 +41,7 @@ fn run_op(kind: OperatorKind, gpu: &GpuSpec, trials: usize) -> (Table, f64) {
 }
 
 fn main() {
+    flextensor_bench::harness::declare_flags(&["trials"]);
     let trials: usize = arg("trials", 120);
     println!("== §6.4: BCM (block circulant matrix) on V100 ==\n");
     let (t, avg) = run_op(OperatorKind::Bcm, &v100(), trials);

@@ -18,6 +18,7 @@ use flextensor_sim::model::Evaluator;
 use flextensor_sim::spec::{v100, Device};
 
 fn main() {
+    flextensor_bench::harness::declare_flags(&["trials", "rounds", "cases"]);
     let trials: usize = arg("trials", 150);
     let rounds: usize = arg("rounds", 16);
     let ncases: usize = arg("cases", 3);

@@ -60,6 +60,7 @@ fn run(name: &str, specs: &[LayerSpec], device: &Device, trials: usize, rounds: 
 }
 
 fn main() {
+    flextensor_bench::harness::declare_flags(&["trials", "rounds"]);
     let trials: usize = arg("trials", 120);
     let rounds: usize = arg("rounds", 12);
     let device = Device::Gpu(v100());

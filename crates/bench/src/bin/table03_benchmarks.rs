@@ -28,6 +28,7 @@ fn fmt_flops(f: u64) -> String {
 }
 
 fn main() {
+    flextensor_bench::harness::declare_flags(&[]);
     println!("== Table 3: benchmark specifications ==\n");
     let mut t = Table::new(&[
         "Operator", "Abbr", "#sl/rl", "#node", "CPU lib", "GPU lib", "FLOPs", "Cases",

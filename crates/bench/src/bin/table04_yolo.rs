@@ -5,6 +5,7 @@ use flextensor_bench::harness::{save_csv, Table};
 use flextensor_ir::yolo::{YOLO_LAYERS, YOLO_V1_FULL};
 
 fn main() {
+    flextensor_bench::harness::declare_flags(&[]);
     println!("== Table 4: YOLO-v1 convolution layers ==\n");
     let mut t = Table::new(&["Name", "C", "K", "H/W", "k", "st", "out", "GFLOPs", "count"]);
     for l in &YOLO_LAYERS {

@@ -207,6 +207,13 @@ pub enum ArgError {
         /// The value as given.
         value: String,
     },
+    /// The binary does not declare this flag.
+    Unknown {
+        /// The flag, with its leading dashes.
+        flag: String,
+        /// The flags the binary declares, without dashes.
+        declared: Vec<String>,
+    },
 }
 
 impl std::fmt::Display for ArgError {
@@ -214,6 +221,13 @@ impl std::fmt::Display for ArgError {
         match self {
             ArgError::MissingValue(flag) => write!(f, "{flag} needs a value"),
             ArgError::BadValue { flag, value } => write!(f, "invalid value {value:?} for {flag}"),
+            ArgError::Unknown { flag, declared } if declared.is_empty() => {
+                write!(f, "unknown flag {flag}; this binary takes no flags")
+            }
+            ArgError::Unknown { flag, declared } => {
+                let list: Vec<String> = declared.iter().map(|d| format!("--{d}")).collect();
+                write!(f, "unknown flag {flag}; accepted: {}", list.join(", "))
+            }
         }
     }
 }
@@ -243,11 +257,59 @@ pub fn parse_arg<T: std::str::FromStr>(args: &[String], name: &str) -> Result<Op
     Ok(None)
 }
 
+/// Checks every `--<name>` or `--<name>=<value>` in `args` against the
+/// declared flag names (given without dashes). Arguments that do not
+/// start with `--` — positional arguments, subcommands, flag values — are
+/// not checked.
+pub fn check_flags(args: &[String], declared: &[&str]) -> Result<(), ArgError> {
+    for a in args {
+        let Some(flag) = a.strip_prefix("--") else {
+            continue;
+        };
+        let name = flag.split_once('=').map_or(flag, |(name, _)| name);
+        if !declared.contains(&name) {
+            return Err(ArgError::Unknown {
+                flag: format!("--{name}"),
+                declared: declared.iter().map(|d| d.to_string()).collect(),
+            });
+        }
+    }
+    Ok(())
+}
+
+/// The flags the running binary declared through [`declare_flags`].
+static DECLARED: std::sync::OnceLock<&'static [&'static str]> = std::sync::OnceLock::new();
+
+/// Declares the running binary's flags — value flags read through [`arg`]
+/// and value-less switches alike, without dashes — and checks the process
+/// arguments against them. Every binary calls it once, first thing in
+/// `main`. Any other `--flag` is a usage error: the process prints it
+/// with the declared list and exits with status 2, rather than running
+/// with a default the user meant to override.
+pub fn declare_flags(flags: &'static [&'static str]) {
+    assert!(DECLARED.set(flags).is_ok(), "flags are declared once");
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if let Err(e) = check_flags(&args, flags) {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    }
+}
+
 /// Reads `--<name> <value>` (or `--<name>=<value>`) from the process
 /// arguments, or `default` when the flag is absent. A flag given with a
 /// missing or unparsable value is a usage error: the process prints it
 /// and exits with status 2 rather than running with the default.
+///
+/// # Panics
+///
+/// Panics when `name` was not declared through [`declare_flags`], so a
+/// binary cannot read a flag its declaration would reject.
 pub fn arg<T: std::str::FromStr>(name: &str, default: T) -> T {
+    let declared = DECLARED.get().copied().unwrap_or_default();
+    assert!(
+        declared.contains(&name),
+        "--{name} is read but not declared"
+    );
     let args: Vec<String> = std::env::args().skip(1).collect();
     match parse_arg(&args, name) {
         Ok(value) => value.unwrap_or(default),
@@ -376,6 +438,29 @@ mod arg_tests {
             );
             assert_eq!(err.to_string(), "invalid value \"yes\" for --check");
         }
+    }
+
+    #[test]
+    fn declared_flags_switches_and_positionals_pass() {
+        let a = args(&["corpus", "--json", "--corpus", "dir", "--seed=7", "-1"]);
+        assert_eq!(check_flags(&a, &["json", "corpus", "seed"]), Ok(()));
+        assert_eq!(check_flags(&args(&["replay", "x.jsonl"]), &[]), Ok(()));
+    }
+
+    #[test]
+    fn undeclared_flag_is_an_error_naming_the_declared_list() {
+        for a in [args(&["--trails", "40"]), args(&["--trails=40"])] {
+            let err = check_flags(&a, &["trials", "seed"]).unwrap_err();
+            assert_eq!(
+                err.to_string(),
+                "unknown flag --trails; accepted: --trials, --seed"
+            );
+        }
+        let err = check_flags(&args(&["--json"]), &[]).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "unknown flag --json; this binary takes no flags"
+        );
     }
 }
 

@@ -258,8 +258,8 @@ pub fn check_analyzer(
 /// box must be sound with respect to every concrete member.
 ///
 /// The region is the join of all `members`, so each member belongs by
-/// construction. The oracle then checks the two soundness claims the
-/// region gate and the certification sweep rely on:
+/// construction. The oracle then checks the verdict's two soundness
+/// claims:
 ///
 /// * [`RegionVerdict::Illegal`](flextensor_analyze::RegionVerdict)
 ///   certifies every member is statically illegal, so the cost model
@@ -280,7 +280,7 @@ pub fn check_region(graph: &Graph, members: &[NodeConfig], device: &Device) -> R
 
     let target = device.target();
     let Some(region) = Region::join(members) else {
-        return Ok(()); // empty or shape-mismatched sample: nothing to certify
+        return Ok(()); // empty or shape-mismatched sample: nothing to check
     };
     for (i, m) in members.iter().enumerate() {
         if !region.contains(m) {
@@ -304,7 +304,6 @@ pub fn check_region(graph: &Graph, members: &[NodeConfig], device: &Device) -> R
             }
         }
         RegionVerdict::Bounded { lo, hi } => {
-            let mut best = f64::INFINITY;
             for (i, m) in members.iter().enumerate() {
                 if let Some(c) = evaluator.evaluate(graph, m) {
                     if c.seconds < lo || c.seconds > hi {
@@ -314,18 +313,7 @@ pub fn check_region(graph: &Graph, members: &[NodeConfig], device: &Device) -> R
                             c.seconds
                         ));
                     }
-                    best = best.min(c.seconds);
                 }
-            }
-            // Redundant with the per-member check, but states the
-            // branch-and-bound property in its own terms: a region
-            // containing a member of cost `best` must never satisfy the
-            // prune criterion against an incumbent at least as slow.
-            if best.is_finite() && lo > best {
-                return Err(format!(
-                    "{target}: certified lower bound {lo:.6e} exceeds a member's \
-                     concrete cost {best:.6e} — an unsound prune"
-                ));
             }
         }
     }
@@ -334,7 +322,10 @@ pub fn check_region(graph: &Graph, members: &[NodeConfig], device: &Device) -> R
 
 /// Model oracle, batch half: evaluating `configs` through a serial pool
 /// and a multi-worker pool must produce identical outcomes (the
-/// `eval_workers` invariance the parallel back-end guarantees).
+/// `eval_workers` invariance the parallel back-end guarantees). Both are
+/// reference pools ([`EvalPool::new_reference`]), which fan out any batch
+/// of two or more fresh candidates, so the 4-worker side really runs on
+/// worker threads.
 ///
 /// # Errors
 ///
@@ -346,8 +337,9 @@ pub fn check_worker_invariance(graph: &Graph, configs: &[NodeConfig]) -> Result<
     for device in oracle_devices() {
         let target = device.target();
         let evaluator = Evaluator::new(device);
-        let serial = EvalPool::new(graph, &evaluator, 1, 1 << 14).evaluate_batch(configs);
-        let parallel = EvalPool::new(graph, &evaluator, 4, 1 << 14).evaluate_batch(configs);
+        let serial = EvalPool::new_reference(graph, &evaluator, 1, 1 << 14).evaluate_batch(configs);
+        let parallel =
+            EvalPool::new_reference(graph, &evaluator, 4, 1 << 14).evaluate_batch(configs);
         for (i, (s, p)) in serial.iter().zip(&parallel).enumerate() {
             if s.cost != p.cost {
                 return Err(format!(

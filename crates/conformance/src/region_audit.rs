@@ -4,19 +4,19 @@
 //! pits the abstract interpretation against the realized result: the
 //! root factor box's certified `[lo, hi]` bound must contain the best
 //! cost the search actually found (the best config is a member of the
-//! root box by construction), and the live-gate / certification-sweep
-//! counters are reported verbatim. Everything is a pure function of the
+//! root box by construction), and the live gate's counters are reported
+//! verbatim. Everything is a pure function of the
 //! committed seed and trial budget, so the rendered report is
 //! byte-stable — CI diffs it against the committed golden copy
 //! (`crates/conformance/region-golden.txt`) to catch bound or counter
 //! drift, and `tests/region_audit.rs` runs the same comparison as an
 //! ordinary test.
 
-use flextensor_analyze::{analyze_region, RegionVerdict};
+use flextensor_analyze::{analyze_region, FlagChoice, Region, RegionVerdict};
 use flextensor_explore::methods::{search, Method, SearchOptions};
-use flextensor_explore::sweep::root_region;
-use flextensor_ir::graph::Graph;
+use flextensor_ir::graph::{Axis, Graph};
 use flextensor_ir::ops::{self, ConvParams};
+use flextensor_schedule::config::{NodeConfig, TargetKind};
 use flextensor_schedule::template::LoweredTemplate;
 use flextensor_sim::model::Evaluator;
 use flextensor_sim::spec::{v100, Device};
@@ -25,7 +25,7 @@ use flextensor_sim::spec::{v100, Device};
 pub const AUDIT_SEED: u64 = 2024;
 
 /// Trial budget per workload; small enough to keep the audit quick,
-/// large enough that the region gate and sweep both do real work.
+/// large enough that the region gate does real work.
 pub const AUDIT_TRIALS: usize = 12;
 
 /// The three `probe_perf` workloads the audit runs, by name.
@@ -41,6 +41,48 @@ pub fn audit_workloads() -> Vec<(&'static str, Graph)> {
             ops::group_conv2d(ConvParams::same(1, 256, 256, 3).with_groups(8), 28, 28),
         ),
     ]
+}
+
+/// The flag choices the root region covers: both values where the
+/// schedule space varies the flag (`unroll`, `inline_data` always;
+/// `cache_shared` on GPU), the incumbent's value elsewhere.
+fn root_flags(target: TargetKind, incumbent: &NodeConfig) -> [FlagChoice; 4] {
+    [
+        FlagChoice::Both,                       // unroll
+        FlagChoice::Fixed(incumbent.vectorize), // vectorize
+        if target == TargetKind::Gpu {
+            FlagChoice::Both
+        } else {
+            FlagChoice::Fixed(incumbent.cache_shared)
+        },
+        FlagChoice::Both, // inline_data
+    ]
+}
+
+/// The root region around `incumbent`: `[1, extent]` on every split
+/// level of every axis, flags per [`root_flags`], discrete coordinates
+/// (reorder, fusion, FPGA partition/pipeline) the incumbent's. The
+/// incumbent is a member by construction. `None` only if the
+/// incumbent's split shape does not match the template's root op.
+fn root_region(tpl: &LoweredTemplate, incumbent: &NodeConfig) -> Option<Region> {
+    let root = tpl.root();
+    let full = |axes: &[Axis], splits: &[Vec<i64>]| -> Vec<Vec<(i64, i64)>> {
+        axes.iter()
+            .zip(splits)
+            .map(|(axis, row)| row.iter().map(|_| (1i64, axis.extent.max(1))).collect())
+            .collect()
+    };
+    let [unroll, vectorize, cache_shared, inline_data] = root_flags(tpl.target(), incumbent);
+    Region::from_ranges(
+        incumbent.clone(),
+        full(&root.spatial, &incumbent.spatial_splits),
+        full(&root.reduce, &incumbent.reduce_splits),
+        unroll,
+        vectorize,
+        cache_shared,
+        inline_data,
+    )
+    .ok()
 }
 
 /// Rendered audit plus the number of soundness violations found
@@ -110,15 +152,6 @@ pub fn region_audit() -> RegionAuditReport {
         text.push_str(&format!(
             "  live gate: {} pruned across {} region(s)\n",
             r.eval_stats.region_pruned, r.eval_stats.regions_analyzed
-        ));
-        let s = r.region_sweep.expect("region-gated search sweeps");
-        text.push_str(&format!(
-            "  sweep: {} examined: {} illegal, {} pruned, {} open{}\n",
-            s.examined,
-            s.certified_illegal,
-            s.certified_pruned,
-            s.open,
-            if s.truncated { ", truncated" } else { "" }
         ));
     }
     text.push_str(&format!(

@@ -1,9 +1,9 @@
 //! Golden-report drift check for the region-analysis audit.
 //!
 //! `region-golden.txt` is the committed output of `probe_analyze
-//! region`. Any change to the region bounds, gate counters, or sweep
-//! counters over the audit workloads — a transfer-function change, a
-//! split-policy change, a new prune firing — shows up as a diff here and
+//! region`. Any change to the region bounds or gate counters over the
+//! audit workloads — a transfer-function change, a new prune firing —
+//! shows up as a diff here and
 //! must be reviewed (and the golden regenerated) rather than slipping
 //! through silently. CI runs the same comparison via the binary.
 

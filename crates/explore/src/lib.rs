@@ -17,7 +17,7 @@
 //!   accounting modeling the real system's per-measurement cost.
 //! * [`pool`] — the parallel, memoized evaluation layer: a persistent
 //!   worker pool fanning each trial's candidate batch out over
-//!   `eval_workers` threads, with a concurrent memo cache so repeat
+//!   `eval_workers` threads, with a memo cache so repeat
 //!   visits cost zero modeled and zero real time. Results reduce in
 //!   fixed candidate order, so searches are deterministic in the worker
 //!   count.
@@ -53,7 +53,6 @@ pub mod pool;
 pub mod qlearn;
 pub mod sa;
 pub mod space;
-pub mod sweep;
 pub mod warm;
 
 /// The structured trace/event layer (`flextensor-telemetry`), re-exported

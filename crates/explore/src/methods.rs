@@ -123,14 +123,10 @@ pub struct SearchOptions {
     /// whole bucket. The verdict is a pure function of the candidate, so
     /// the gate is result-preserving: it only skips evaluations that
     /// would have scored `None` anyway, and the best configuration, cost
-    /// bits, and RNG trajectory are identical either way. At the end of
-    /// the run a zero-evaluation branch-and-bound sweep
-    /// ([`crate::sweep::certify`]) additionally certifies how much of the
-    /// factor space around the best point provably cannot beat it.
+    /// bits, and RNG trajectory are identical either way.
     /// Tallies show up in [`EvalStats::region_pruned`] /
-    /// [`EvalStats::regions_analyzed`], a `region_stats` trace record,
-    /// and [`SearchResult::region_sweep`]. Composes with `analyzer_gate`
-    /// and `delta_eval`.
+    /// [`EvalStats::regions_analyzed`] and a `region_stats` trace record.
+    /// Composes with `analyzer_gate` and `delta_eval`.
     pub region_gate: bool,
     /// Structured trace sink (disabled by default). When enabled, the
     /// search emits the full event stream of `docs/TRACE_FORMAT.md`:
@@ -218,11 +214,6 @@ pub struct SearchResult {
     /// Warm-start encodings that were successfully adapted and absorbed
     /// into the trial-0 seed batch (0 for cold searches).
     pub warm_seeds: usize,
-    /// Counters from the end-of-run certification sweep
-    /// ([`crate::sweep::certify`]); present iff
-    /// [`SearchOptions::region_gate`] was enabled. The sweep performs no
-    /// concrete evaluations and cannot change the search result.
-    pub region_sweep: Option<crate::sweep::RegionSweep>,
 }
 
 /// Errors from exploration.
@@ -542,29 +533,13 @@ pub fn search(
         .ok_or_else(|| SearchError("no feasible schedule found".into()))?;
     let best = best.clone();
     let seconds = 1.0 / e;
-    // End-of-run certification sweep: zero evaluations, no history
-    // access — it can only produce counters, never change the result.
-    let region_sweep = opts.region_gate.then(|| {
-        crate::sweep::certify(
-            graph,
-            evaluator,
-            &best,
-            seconds,
-            crate::sweep::DEFAULT_SWEEP_REGIONS,
-        )
-    });
     if tel.is_enabled() {
         let stats = d.pool.stats();
-        if let Some(sweep) = &region_sweep {
+        if opts.region_gate {
             tel.emit(TraceEvent::RegionStats {
                 trial: trace.last().map_or(0, |t| t.trial),
                 regions_analyzed: stats.regions_analyzed,
                 region_pruned: stats.region_pruned,
-                swept: sweep.examined,
-                sweep_illegal: sweep.certified_illegal,
-                sweep_pruned: sweep.certified_pruned,
-                sweep_open: sweep.open,
-                sweep_truncated: sweep.truncated,
             });
         }
         tel.emit(TraceEvent::RunSummary {
@@ -592,7 +567,6 @@ pub fn search(
         space_size,
         eval_stats: d.pool.stats(),
         warm_seeds,
-        region_sweep,
     })
 }
 
@@ -871,14 +845,6 @@ mod tests {
                 off.measurements,
                 "{m}"
             );
-            // The certification sweep ran and its counters are sane.
-            assert_eq!(off.region_sweep, None, "{m}");
-            let sweep = on.region_sweep.expect("gated run must sweep");
-            assert!(sweep.examined > 0, "{m}");
-            assert!(
-                sweep.open >= 1,
-                "{m}: the best point's region must stay open: {sweep:?}"
-            );
         }
     }
 
@@ -921,22 +887,11 @@ mod tests {
             Some(TraceEvent::RegionStats {
                 regions_analyzed,
                 region_pruned,
-                swept,
-                sweep_illegal,
-                sweep_pruned,
-                sweep_open,
-                sweep_truncated,
                 ..
             }) => {
                 assert_eq!(regions_analyzed, r.eval_stats.regions_analyzed);
                 assert_eq!(region_pruned, r.eval_stats.region_pruned);
                 assert!(region_pruned > 0);
-                let sweep = r.region_sweep.unwrap();
-                assert_eq!(swept, sweep.examined);
-                assert_eq!(sweep_illegal, sweep.certified_illegal);
-                assert_eq!(sweep_pruned, sweep.certified_pruned);
-                assert_eq!(sweep_open, sweep.open);
-                assert_eq!(sweep_truncated, sweep.truncated);
             }
             other => panic!("region-gated run must record region_stats, got {other:?}"),
         }

@@ -4,9 +4,10 @@
 //! evaluating a trial's candidate points concurrently. This module is the
 //! reproduction's equivalent for the analytical evaluator:
 //!
-//! * [`MemoCache`] — a concurrent (sharded, `Send + Sync`) memo table
-//!   keyed on the canonical [`NodeConfig::encode`] form, with hit/miss
-//!   counters, so repeat visits cost zero modeled and zero real time;
+//! * [`MemoCache`] — a memo table keyed on the canonical
+//!   [`NodeConfig::encode`] form, with hit/miss counters, so repeat
+//!   visits cost zero modeled and zero real time. The pool's coordinator
+//!   is its only user;
 //! * [`EvalPool`] — a persistent worker pool that fans a batch of
 //!   candidate points out over `eval_workers` threads and reduces the
 //!   results in the **fixed candidate order**, so every search driver
@@ -49,10 +50,6 @@ use flextensor_schedule::features::KernelFeatures;
 use flextensor_schedule::template::LoweredTemplate;
 use flextensor_sim::model::{Cost, Evaluator};
 use flextensor_telemetry::{Telemetry, TraceEvent};
-
-/// Number of independent shards in a [`MemoCache`]; bounds coordinator /
-/// worker contention when the cache is shared across threads.
-const CACHE_SHARDS: usize = 16;
 
 /// Template-path batches at or below this many fresh evaluations run on
 /// the coordinator instead of fanning out. Through the split-phase
@@ -124,6 +121,11 @@ pub(crate) fn hash_words(words: impl Iterator<Item = i64>) -> u64 {
 
 /// A `HashMap` using [`FnvHasher`].
 type FnvMap<K, V> = HashMap<K, V, BuildHasherDefault<FnvHasher>>;
+
+/// Number of independent shards in a [`MemoCache`]. Each shard's arena,
+/// entry list and probe table grow on their own, so the largest growth
+/// step reallocates a sixteenth of the cache rather than all of it.
+const CACHE_SHARDS: usize = 16;
 
 /// Empty-slot sentinel in a [`Shard`]'s probe table.
 const EMPTY: u32 = u32::MAX;
@@ -223,7 +225,7 @@ impl Shard {
     }
 }
 
-/// A concurrent, bounded memo table for evaluation results.
+/// A bounded memo table for evaluation results.
 ///
 /// Keys are the canonical integer encoding of a schedule point
 /// ([`NodeConfig::encode`]); values are the evaluator's verdict, including
@@ -231,28 +233,29 @@ impl Shard {
 /// Internally each shard is an open-addressed table with keys packed in a
 /// flat arena (`Shard`), so a warm insert allocates nothing.
 ///
-/// Bounding: each shard holds at most `capacity / CACHE_SHARDS` entries
-/// and is *flushed* (generationally cleared) when an insert would
-/// overflow it — simple, allocation-friendly, and deterministic as long
-/// as inserts happen in a deterministic order.
+/// The cache has a single owner: [`EvalPool`] peeks, inserts and counts
+/// on its coordinating thread only, in candidate order, so no lock or
+/// atomic guards it. Bounding: each shard holds at most
+/// `capacity / CACHE_SHARDS` entries and is *flushed* (generationally
+/// cleared) when an insert would overflow it — simple,
+/// allocation-friendly, and deterministic because inserts happen in a
+/// deterministic order.
 #[derive(Debug)]
 pub struct MemoCache {
-    shards: Vec<Mutex<Shard>>,
+    shards: Vec<Shard>,
     per_shard_capacity: usize,
-    hits: AtomicUsize,
-    misses: AtomicUsize,
+    hits: usize,
+    misses: usize,
 }
 
 impl MemoCache {
     /// A cache holding at most (approximately) `capacity` entries.
     pub fn new(capacity: usize) -> MemoCache {
         MemoCache {
-            shards: (0..CACHE_SHARDS)
-                .map(|_| Mutex::new(Shard::default()))
-                .collect(),
+            shards: (0..CACHE_SHARDS).map(|_| Shard::default()).collect(),
             per_shard_capacity: (capacity / CACHE_SHARDS).max(1),
-            hits: AtomicUsize::new(0),
-            misses: AtomicUsize::new(0),
+            hits: 0,
+            misses: 0,
         }
     }
 
@@ -265,8 +268,8 @@ impl MemoCache {
         hash_words(key.iter().copied())
     }
 
-    fn shard(&self, hash: u64) -> &Mutex<Shard> {
-        &self.shards[(hash % CACHE_SHARDS as u64) as usize]
+    fn shard_index(hash: u64) -> usize {
+        (hash % CACHE_SHARDS as u64) as usize
     }
 
     /// Looks a key up **without** touching the hit/miss counters (the
@@ -278,28 +281,29 @@ impl MemoCache {
     /// [`MemoCache::peek`] with a precomputed [`MemoCache::hash`] of `key`.
     pub fn peek_hashed(&self, hash: u64, key: &[i64]) -> Option<Option<Cost>> {
         debug_assert_eq!(hash, MemoCache::hash(key));
-        let shard = self.shard(hash).lock().expect("cache shard poisoned");
+        let shard = &self.shards[MemoCache::shard_index(hash)];
         if shard.slots.is_empty() {
             return None;
         }
-        match shard.find(hash, key) {
-            Ok(idx) => Some(shard.entries[idx].value),
-            Err(_) => None,
-        }
+        shard
+            .find(hash, key)
+            .ok()
+            .map(|idx| shard.entries[idx].value)
     }
 
     /// Inserts an evaluation result, flushing the target shard first when
     /// it is at capacity. The key is copied into the shard's arena; no
     /// per-entry allocation happens on a warm shard.
-    pub fn insert(&self, key: &[i64], value: Option<Cost>) {
+    pub fn insert(&mut self, key: &[i64], value: Option<Cost>) {
         self.insert_hashed(MemoCache::hash(key), key, value)
     }
 
     /// [`MemoCache::insert`] with a precomputed [`MemoCache::hash`] of
     /// `key`.
-    pub fn insert_hashed(&self, hash: u64, key: &[i64], value: Option<Cost>) {
+    pub fn insert_hashed(&mut self, hash: u64, key: &[i64], value: Option<Cost>) {
         debug_assert_eq!(hash, MemoCache::hash(key));
-        let mut shard = self.shard(hash).lock().expect("cache shard poisoned");
+        let capacity = self.per_shard_capacity;
+        let shard = &mut self.shards[MemoCache::shard_index(hash)];
         if shard.slots.is_empty() {
             shard.slots = vec![
                 Slot {
@@ -316,9 +320,7 @@ impl MemoCache {
             }
             Err(free) => free,
         };
-        if shard.entries.len() >= self.per_shard_capacity
-            || shard.arena.len() + key.len() > u32::MAX as usize
-        {
+        if shard.entries.len() >= capacity || shard.arena.len() + key.len() > u32::MAX as usize {
             // The insert would overflow the shard: generational flush.
             shard.clear();
             free = ((hash >> 7) as usize) & (shard.slots.len() - 1);
@@ -340,21 +342,18 @@ impl MemoCache {
     }
 
     /// Records `n` lookups answered from the cache.
-    pub fn count_hits(&self, n: usize) {
-        self.hits.fetch_add(n, Ordering::Relaxed);
+    pub fn count_hits(&mut self, n: usize) {
+        self.hits += n;
     }
 
     /// Records `n` lookups that required a fresh evaluation.
-    pub fn count_misses(&self, n: usize) {
-        self.misses.fetch_add(n, Ordering::Relaxed);
+    pub fn count_misses(&mut self, n: usize) {
+        self.misses += n;
     }
 
     /// Entries currently cached.
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("cache shard poisoned").entries.len())
-            .sum()
+        self.shards.iter().map(|s| s.entries.len()).sum()
     }
 
     /// Whether the cache holds no entries.
@@ -364,12 +363,12 @@ impl MemoCache {
 
     /// Lookups answered from the cache so far.
     pub fn hits(&self) -> usize {
-        self.hits.load(Ordering::Relaxed)
+        self.hits
     }
 
     /// Lookups that required a fresh evaluation so far.
     pub fn misses(&self) -> usize {
-        self.misses.load(Ordering::Relaxed)
+        self.misses
     }
 }
 
@@ -1545,7 +1544,7 @@ mod tests {
 
     #[test]
     fn hashed_cache_entry_points_match_the_plain_ones() {
-        let cache = MemoCache::new(1 << 10);
+        let mut cache = MemoCache::new(1 << 10);
         let key_a = [1i64, 2, 3, 4];
         let key_b = [4i64, 3, 2, 1];
         let cost = Some(Cost {

@@ -24,11 +24,10 @@ use flextensor_ir::graph::{ComputeOp, Graph};
 
 use crate::config::{NodeConfig, TargetKind};
 use crate::features::KernelFeatures;
-use crate::interval::footprint;
 use crate::nest::{LoopKind, Stmt};
 use crate::template::{
-    compile_groups, compute_features, data_producers, inline_producers, load_groups, tile_env,
-    FeatureConsts,
+    compute_features, data_producers, group_footprint_bytes, inline_producers, load_groups,
+    FeatureConsts, SlotScratch,
 };
 
 /// A fully lowered kernel: an executable statement sequence plus the
@@ -280,24 +279,8 @@ pub fn lower(
     // Shared with the split-phase fast path (`crate::template`): both
     // paths call `compute_features` on identical inputs, so features agree
     // bit-for-bit by construction.
-    let groups = load_groups(graph, &ctx.body);
-    let data_producers_list = data_producers(graph, root);
-    let consts = FeatureConsts {
-        root_flops: root.flops(),
-        epilogue_flops: graph.epilogue_chain().iter().map(|e| e.flops()).sum(),
-        output_elements: root.spatial_size(),
-        reduce_size: root.reduce_size(),
-        input_bytes_total: graph.inputs().map(|t| t.bytes()).sum(),
-        materialized_data_bytes: data_producers_list
-            .iter()
-            .map(|p| {
-                let out_bytes = p.spatial_size() * 4;
-                // write once + read back by consumer
-                2 * out_bytes
-            })
-            .sum(),
-    };
-    let features = compute_features(root, cfg, target, &compile_groups(root, &groups), &consts);
+    let groups = load_groups(graph, root, &ctx.body);
+    let features = compute_features(root, cfg, target, &groups, &FeatureConsts::new(graph, root));
 
     // ---- build the nest ------------------------------------------------
     let store = ctx.store_stmt();
@@ -346,18 +329,13 @@ pub fn lower(
             body = ctx.wrap_reduce_level(body, 1, LoopKind::Serial);
             // Shared-memory staging once per outer reduce step.
             if cfg.cache_shared {
-                let block_env = tile_env(root, cfg, &[1, 2, 3], &[1, 2]);
+                let mut scratch = SlotScratch::new();
+                let block = scratch.set_tile(root, cfg, &[1, 2, 3], &[1, 2]);
                 let mut staged: Vec<Stmt> = groups
                     .iter()
                     .map(|g| Stmt::StageIn {
                         tensor: g.tensor.clone(),
-                        bytes: g
-                            .sites
-                            .iter()
-                            .map(|ix| footprint(ix, &block_env))
-                            .max()
-                            .unwrap_or(0)
-                            * 4,
+                        bytes: group_footprint_bytes(g, block),
                     })
                     .collect();
                 staged.extend(body);
@@ -390,7 +368,7 @@ pub fn lower(
     // anchor's intermediate stays in registers).
     let mut stmts: Vec<Stmt> = Vec::new();
     if !cfg.inline_data {
-        for p in &data_producers_list {
+        for p in data_producers(graph, root) {
             stmts.push(naive_producer_nest(p));
         }
     }

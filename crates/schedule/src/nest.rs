@@ -136,19 +136,6 @@ impl Stmt {
         }
     }
 
-    /// Sum of [`Stmt::StageIn`] bytes, weighted by the trip counts of the
-    /// loops enclosing each annotation.
-    pub fn staged_bytes(&self) -> i64 {
-        fn walk(s: &Stmt, mult: i64) -> i64 {
-            match s {
-                Stmt::For { extent, body, .. } => body.iter().map(|b| walk(b, mult * extent)).sum(),
-                Stmt::StageIn { bytes, .. } => mult * bytes,
-                Stmt::Store { .. } => 0,
-            }
-        }
-        walk(self, 1)
-    }
-
     fn fmt_indented(&self, f: &mut fmt::Formatter<'_>, indent: usize) -> fmt::Result {
         let pad = "  ".repeat(indent);
         match self {
@@ -226,11 +213,6 @@ mod tests {
     #[test]
     fn depth_counts_loops() {
         assert_eq!(sample().depth(), 2);
-    }
-
-    #[test]
-    fn staged_bytes_weighted_by_enclosing_loops() {
-        assert_eq!(sample().staged_bytes(), 4 * 64);
     }
 
     #[test]

@@ -28,7 +28,7 @@ use flextensor_ir::graph::{ComputeOp, Graph};
 
 use crate::config::{NodeConfig, TargetKind};
 use crate::features::{FpgaFeatures, KernelFeatures};
-use crate::interval::{Interval, IntervalEnv};
+use crate::interval::{compile_slot_expr, eval_slot, Interval, SlotExpr};
 use crate::lower::LowerError;
 
 /// Returns the data-movement producer chain of the root op: compute nodes
@@ -127,22 +127,25 @@ pub(crate) fn inline_producers(graph: &Graph, root: &ComputeOp, body: &Expr) -> 
 }
 
 /// All load sites of one tensor in the (possibly inlined) root body,
+/// with their index expressions compiled to slot form against the root's
+/// axes — the representation the per-candidate feature kernels consume —
 /// together with the tensor's whole-graph byte size when declared.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct LoadGroup {
     /// Tensor name.
     pub tensor: String,
-    /// Index expressions of every load site of this tensor.
-    pub sites: Vec<Vec<Expr>>,
+    /// Compiled index expressions of every load site of this tensor.
+    pub sites: Vec<Vec<SlotExpr>>,
     /// Total bytes of the declared tensor (`None` when the graph has no
     /// declaration, e.g. a fully inlined intermediate).
     pub total_bytes: Option<i64>,
 }
 
-/// Collects the distinct loads of a body together with their index
-/// expressions, keyed by tensor name in first-occurrence order, and
-/// resolves each tensor's declared byte size from the graph.
-pub(crate) fn load_groups(graph: &Graph, body: &Expr) -> Vec<LoadGroup> {
+/// Collects the distinct loads of a body, keyed by tensor name in
+/// first-occurrence order, compiles their index expressions against
+/// `root`'s axis slots, and resolves each tensor's declared byte size
+/// from the graph.
+pub(crate) fn load_groups(graph: &Graph, root: &ComputeOp, body: &Expr) -> Vec<LoadGroup> {
     let mut groups: Vec<(String, Vec<Vec<Expr>>)> = Vec::new();
     fn walk(e: &Expr, groups: &mut Vec<(String, Vec<Vec<Expr>>)>) {
         match e {
@@ -169,169 +172,13 @@ pub(crate) fn load_groups(graph: &Graph, body: &Expr) -> Vec<LoadGroup> {
     walk(body, &mut groups);
     groups
         .into_iter()
-        .map(|(tensor, sites)| {
-            let total_bytes = graph.tensor(&tensor).map(|t| t.bytes());
-            LoadGroup {
-                tensor,
-                sites,
-                total_bytes,
-            }
-        })
-        .collect()
-}
-
-/// Interval environment covering the variation of each original axis over
-/// the given spatial levels and reduce levels. E.g. for spatial levels
-/// {1,2,3} the axis `i` varies over `[0, f1*f2*f3 - 1]` (a per-block tile).
-pub(crate) fn tile_env(
-    root: &ComputeOp,
-    cfg: &NodeConfig,
-    spatial_levels: &[usize],
-    reduce_levels: &[usize],
-) -> IntervalEnv {
-    let mut env = IntervalEnv::new();
-    for (i, a) in root.spatial.iter().enumerate() {
-        let tile: i64 = spatial_levels
-            .iter()
-            .map(|&l| cfg.spatial_splits[i][l])
-            .product();
-        env.insert(a.name.clone(), Interval::new(0, tile - 1));
-    }
-    for (i, a) in root.reduce.iter().enumerate() {
-        let tile: i64 = reduce_levels
-            .iter()
-            .map(|&l| cfg.reduce_splits[i][l])
-            .product();
-        env.insert(a.name.clone(), Interval::new(0, tile - 1));
-    }
-    env
-}
-
-/// An index expression compiled against a root op's axes: every variable
-/// is resolved at template-build time to a dense *slot* — spatial axis `i`
-/// occupies slot `i`, reduce axis `j` occupies slot `ns + j` — so the hot
-/// feature kernels evaluate intervals against a flat `&[Interval]` instead
-/// of hashing axis-name `String`s through an [`IntervalEnv`] for every
-/// environment variant of every candidate.
-///
-/// Compilation mirrors [`crate::interval::eval_interval`]'s leaf handling
-/// exactly: [`tile_env`] always binds precisely the root's spatial and
-/// reduce axes, so any other variable (and any load-as-index) is the fixed
-/// point 0, and float constants truncate the same way. [`eval_slot`]
-/// mirrors its arithmetic arm for arm, so slot evaluation is a pure
-/// renaming of the `String`-keyed path — bit-identical by construction.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) enum SlotExpr {
-    /// A constant index: `IConst`, truncated `FConst`, a variable outside
-    /// the root's axes, or a load used as an index (origin convention).
-    Const(i64),
-    /// The tile interval of one root axis (spatial `i` → `i`, reduce `j`
-    /// → `spatial_len + j`).
-    Slot(usize),
-    /// Binary index arithmetic, evaluated with interval semantics.
-    Bin(BinOp, Box<SlotExpr>, Box<SlotExpr>),
-    /// A `Select`'s interval is the hull of its arms (the condition never
-    /// contributes), so only the arms survive compilation.
-    Hull(Box<SlotExpr>, Box<SlotExpr>),
-}
-
-/// Compiles one index expression to slot form against `root`'s axes.
-pub(crate) fn compile_slot_expr(e: &Expr, root: &ComputeOp) -> SlotExpr {
-    match e {
-        Expr::IConst(v) => SlotExpr::Const(*v),
-        Expr::FConst(v) => SlotExpr::Const(*v as i64),
-        Expr::Var(name) => {
-            if let Some(i) = root.spatial.iter().position(|a| &a.name == name) {
-                SlotExpr::Slot(i)
-            } else if let Some(j) = root.reduce.iter().position(|a| &a.name == name) {
-                SlotExpr::Slot(root.spatial.len() + j)
-            } else {
-                SlotExpr::Const(0)
-            }
-        }
-        Expr::Bin(op, a, b) => SlotExpr::Bin(
-            *op,
-            Box::new(compile_slot_expr(a, root)),
-            Box::new(compile_slot_expr(b, root)),
-        ),
-        Expr::Select(_, a, b) => SlotExpr::Hull(
-            Box::new(compile_slot_expr(a, root)),
-            Box::new(compile_slot_expr(b, root)),
-        ),
-        Expr::Load { .. } => SlotExpr::Const(0),
-    }
-}
-
-/// Evaluates a compiled index expression over the slot intervals. The
-/// arithmetic is copied arm for arm from
-/// [`crate::interval::eval_interval`]; any change must be made in both.
-pub(crate) fn eval_slot(e: &SlotExpr, slots: &[Interval]) -> Interval {
-    match e {
-        SlotExpr::Const(v) => Interval::point(*v),
-        SlotExpr::Slot(i) => slots[*i],
-        SlotExpr::Bin(op, a, b) => {
-            let x = eval_slot(a, slots);
-            let y = eval_slot(b, slots);
-            match op {
-                BinOp::Add => Interval::new(x.lo + y.lo, x.hi + y.hi),
-                BinOp::Sub => Interval::new(x.lo - y.hi, x.hi - y.lo),
-                BinOp::Mul => {
-                    let c = [x.lo * y.lo, x.lo * y.hi, x.hi * y.lo, x.hi * y.hi];
-                    Interval::new(
-                        *c.iter().min().expect("non-empty"),
-                        *c.iter().max().expect("non-empty"),
-                    )
-                }
-                BinOp::Div => {
-                    if y.lo == y.hi && y.lo != 0 {
-                        let d = y.lo;
-                        let c = [x.lo / d, x.hi / d];
-                        Interval::new(*c.iter().min().unwrap(), *c.iter().max().unwrap())
-                    } else {
-                        Interval::new(-x.lo.abs().max(x.hi.abs()), x.lo.abs().max(x.hi.abs()))
-                    }
-                }
-                BinOp::Mod => {
-                    if y.lo == y.hi && y.lo > 0 {
-                        let m = y.lo;
-                        if x.lo >= 0 && x.hi < m {
-                            x
-                        } else {
-                            Interval::new(0, (m - 1).min(x.len() - 1))
-                        }
-                    } else {
-                        Interval::new(x.lo.min(0), x.hi.max(0))
-                    }
-                }
-                BinOp::Min => Interval::new(x.lo.min(y.lo), x.hi.min(y.hi)),
-                BinOp::Max => Interval::new(x.lo.max(y.lo), x.hi.max(y.hi)),
-            }
-        }
-        SlotExpr::Hull(a, b) => eval_slot(a, slots).hull(eval_slot(b, slots)),
-    }
-}
-
-/// A [`LoadGroup`] with its index expressions compiled to slot form —
-/// the representation the per-candidate feature kernels consume.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct CompiledGroup {
-    /// Compiled index expressions of every load site of this tensor.
-    pub sites: Vec<Vec<SlotExpr>>,
-    /// Total bytes of the declared tensor (see [`LoadGroup::total_bytes`]).
-    pub total_bytes: Option<i64>,
-}
-
-/// Compiles every group's load sites against `root`'s axis slots.
-pub(crate) fn compile_groups(root: &ComputeOp, groups: &[LoadGroup]) -> Vec<CompiledGroup> {
-    groups
-        .iter()
-        .map(|g| CompiledGroup {
-            sites: g
-                .sites
+        .map(|(tensor, sites)| LoadGroup {
+            total_bytes: graph.tensor(&tensor).map(|t| t.bytes()),
+            sites: sites
                 .iter()
                 .map(|ix| ix.iter().map(|e| compile_slot_expr(e, root)).collect())
                 .collect(),
-            total_bytes: g.total_bytes,
+            tensor,
         })
         .collect()
 }
@@ -355,8 +202,9 @@ impl SlotScratch {
     }
 
     /// Overwrites the scratch with the tile intervals of `cfg` at the
-    /// given levels — the slot-form twin of [`tile_env`] — and returns
-    /// the slot slice.
+    /// given levels and returns the slot slice: each axis varies over
+    /// `[0, tile - 1]`, where `tile` is the product of its factors at
+    /// those levels (e.g. spatial levels {1,2,3} give a per-block tile).
     pub(crate) fn set_tile(
         &mut self,
         root: &ComputeOp,
@@ -383,23 +231,29 @@ impl SlotScratch {
     }
 }
 
-/// Sum over tensors of the footprint (bytes) of all loads of that tensor
-/// under the slot intervals (taking the hull across load sites of the
-/// same tensor).
-pub(crate) fn loads_footprint_bytes(groups: &[CompiledGroup], slots: &[Interval]) -> i64 {
+/// Footprint (bytes) of one tensor's loads under the slot intervals: the
+/// largest per-site product of index interval lengths, 4 bytes per
+/// element. Shared by the feature kernels and the GPU `StageIn`
+/// statements of [`crate::lower::lower`].
+#[inline]
+pub(crate) fn group_footprint_bytes(g: &LoadGroup, slots: &[Interval]) -> i64 {
+    g.sites
+        .iter()
+        .map(|ix| {
+            ix.iter()
+                .map(|e| eval_slot(e, slots).len())
+                .product::<i64>()
+        })
+        .max()
+        .unwrap_or(0)
+        * 4
+}
+
+/// Sum over tensors of [`group_footprint_bytes`].
+pub(crate) fn loads_footprint_bytes(groups: &[LoadGroup], slots: &[Interval]) -> i64 {
     let mut total = 0i64;
     for g in groups {
-        let fp = g
-            .sites
-            .iter()
-            .map(|ix| {
-                ix.iter()
-                    .map(|e| eval_slot(e, slots).len())
-                    .product::<i64>()
-            })
-            .max()
-            .unwrap_or(0);
-        total += fp * 4;
+        total += group_footprint_bytes(g, slots);
     }
     total
 }
@@ -422,6 +276,23 @@ pub(crate) struct FeatureConsts {
     pub materialized_data_bytes: i64,
 }
 
+impl FeatureConsts {
+    /// The constants of `graph` scheduled at its anchor op `root`.
+    pub(crate) fn new(graph: &Graph, root: &ComputeOp) -> FeatureConsts {
+        FeatureConsts {
+            root_flops: root.flops(),
+            epilogue_flops: graph.epilogue_chain().iter().map(|e| e.flops()).sum(),
+            output_elements: root.spatial_size(),
+            reduce_size: root.reduce_size(),
+            input_bytes_total: graph.inputs().map(|t| t.bytes()).sum(),
+            materialized_data_bytes: data_producers(graph, root)
+                .iter()
+                .map(|p| 2 * (p.spatial_size() * 4)) // write once + read back
+                .sum(),
+        }
+    }
+}
+
 // Per-feature kernels. Each computes exactly one config-dependent feature
 // (or one tightly coupled group) from the candidate config and the cached
 // load groups. `compute_features` composes all of them; the delta
@@ -434,7 +305,7 @@ pub(crate) struct FeatureConsts {
 pub(crate) fn feat_shared_bytes_per_block(
     root: &ComputeOp,
     cfg: &NodeConfig,
-    groups: &[CompiledGroup],
+    groups: &[LoadGroup],
     scratch: &mut SlotScratch,
 ) -> i64 {
     loads_footprint_bytes(groups, scratch.set_tile(root, cfg, &[1, 2, 3], &[1, 2]))
@@ -446,7 +317,7 @@ pub(crate) fn feat_shared_bytes_per_block(
 pub(crate) fn feat_thread_reg_bytes(
     root: &ComputeOp,
     cfg: &NodeConfig,
-    groups: &[CompiledGroup],
+    groups: &[LoadGroup],
     scratch: &mut SlotScratch,
 ) -> i64 {
     let thread_input_bytes = loads_footprint_bytes(groups, scratch.set_tile(root, cfg, &[3], &[]));
@@ -459,7 +330,7 @@ pub(crate) fn feat_thread_reg_bytes(
 pub(crate) fn feat_l1_tile_bytes(
     root: &ComputeOp,
     cfg: &NodeConfig,
-    groups: &[CompiledGroup],
+    groups: &[LoadGroup],
     scratch: &mut SlotScratch,
 ) -> i64 {
     loads_footprint_bytes(groups, scratch.set_tile(root, cfg, &[3], &[2]))
@@ -471,7 +342,7 @@ pub(crate) fn feat_l1_tile_bytes(
 pub(crate) fn feat_l2_tile_bytes(
     root: &ComputeOp,
     cfg: &NodeConfig,
-    groups: &[CompiledGroup],
+    groups: &[LoadGroup],
     scratch: &mut SlotScratch,
 ) -> i64 {
     loads_footprint_bytes(groups, scratch.set_tile(root, cfg, &[2, 3], &[1, 2]))
@@ -521,7 +392,7 @@ pub(crate) const DDR_REFETCH_CAP: f64 = 8.0;
 pub(crate) fn feat_fpga(
     root: &ComputeOp,
     cfg: &NodeConfig,
-    groups: &[CompiledGroup],
+    groups: &[LoadGroup],
     scratch: &mut SlotScratch,
 ) -> FpgaFeatures {
     // PE array: levels 2 and 3 are spatial hardware parallelism;
@@ -534,17 +405,7 @@ pub(crate) fn feat_fpga(
     let mut buffer_bytes = 0i64;
     let mut stream_bytes = 0i64;
     for g in groups {
-        let fp = g
-            .sites
-            .iter()
-            .map(|ix| {
-                ix.iter()
-                    .map(|e| eval_slot(e, round_slots).len())
-                    .product::<i64>()
-            })
-            .max()
-            .unwrap_or(0)
-            * 4;
+        let fp = group_footprint_bytes(g, round_slots);
         buffer_bytes += fp;
         let total = g.total_bytes.unwrap_or(fp);
         let amortized =
@@ -573,7 +434,7 @@ pub(crate) fn compute_features(
     root: &ComputeOp,
     cfg: &NodeConfig,
     target: TargetKind,
-    groups: &[CompiledGroup],
+    groups: &[LoadGroup],
     consts: &FeatureConsts,
 ) -> KernelFeatures {
     // One scratch slot vector serves every tile env below (arena reuse).
@@ -673,7 +534,7 @@ pub(crate) fn eval_slot_bounds(
                     f(xout, yout),
                 )
             };
-            // Arithmetic here saturates: huge sweep boxes (factor ranges up
+            // Arithmetic here saturates: huge region boxes (factor ranges up
             // to the full axis extent on every level) can push products past
             // i64. Saturation equals exact arithmetic whenever the exact
             // value fits — every valid member's does — and otherwise only
@@ -765,11 +626,11 @@ pub(crate) fn eval_slot_bounds(
 /// contribution for every member slot assignment. When an index lacks an
 /// inner bound, its length contributes the trivial lower bound 1.
 pub(crate) fn group_footprint_bounds(
-    g: &CompiledGroup,
+    g: &LoadGroup,
     lo: &[Interval],
     hi: &[Interval],
 ) -> (i64, i64) {
-    // Saturating length/products: outer intervals of a huge sweep box can
+    // Saturating length/products: outer intervals of a huge region box can
     // exceed i64; saturation only raises the upper bound (sound) and is
     // exact whenever the true footprint fits.
     let sat_len = |iv: Interval| iv.hi.saturating_sub(iv.lo).saturating_add(1);
@@ -792,7 +653,7 @@ pub(crate) fn group_footprint_bounds(
 /// Bounds on the summed load footprint ([`loads_footprint_bytes`]) over a
 /// slot box: sums the per-group bounds.
 pub(crate) fn loads_footprint_bounds(
-    groups: &[CompiledGroup],
+    groups: &[LoadGroup],
     lo: &[Interval],
     hi: &[Interval],
 ) -> (i64, i64) {
@@ -820,7 +681,7 @@ pub(crate) fn compute_feature_bounds(
     lo_cfg: &NodeConfig,
     hi_cfg: &NodeConfig,
     target: TargetKind,
-    groups: &[CompiledGroup],
+    groups: &[LoadGroup],
     consts: &FeatureConsts,
 ) -> (KernelFeatures, KernelFeatures) {
     debug_assert_eq!(lo_cfg.reorder, hi_cfg.reorder);
@@ -830,7 +691,7 @@ pub(crate) fn compute_feature_bounds(
     debug_assert_eq!(lo_cfg.cache_shared, hi_cfg.cache_shared);
     debug_assert_eq!(lo_cfg.inline_data, hi_cfg.inline_data);
 
-    // Saturating level products: a sweep-box corner can carry the full
+    // Saturating level products: a root-region corner can carry the full
     // axis extent on every level, whose product across axes may exceed
     // i64. Saturation matches `NodeConfig::spatial_level_product` exactly
     // whenever the product fits (every valid member's does) and otherwise
@@ -1014,7 +875,7 @@ pub struct LoweredTemplate {
     pub(crate) root: ComputeOp,
     /// Slot-compiled load groups per `inline_data` variant:
     /// `[false, true]`.
-    pub(crate) groups: [Vec<CompiledGroup>; 2],
+    pub(crate) groups: [Vec<LoadGroup>; 2],
     pub(crate) consts: FeatureConsts,
     pub(crate) graph_flops: u64,
 }
@@ -1024,26 +885,14 @@ impl LoweredTemplate {
     /// target: both body variants' load groups and the graph constants.
     pub fn new(graph: &Graph, target: TargetKind) -> LoweredTemplate {
         let root = graph.anchor_op().clone();
-        let raw_groups = compile_groups(&root, &load_groups(graph, &root.body));
+        let raw_groups = load_groups(graph, &root, &root.body);
         let inlined_body = inline_producers(graph, &root, &root.body);
-        let inlined_groups = compile_groups(&root, &load_groups(graph, &inlined_body));
-        let materialized_data_bytes: i64 = data_producers(graph, &root)
-            .iter()
-            .map(|p| 2 * (p.spatial_size() * 4)) // write once + read back
-            .sum();
-        let consts = FeatureConsts {
-            root_flops: root.flops(),
-            epilogue_flops: graph.epilogue_chain().iter().map(|e| e.flops()).sum(),
-            output_elements: root.spatial_size(),
-            reduce_size: root.reduce_size(),
-            input_bytes_total: graph.inputs().map(|t| t.bytes()).sum(),
-            materialized_data_bytes,
-        };
+        let inlined_groups = load_groups(graph, &root, &inlined_body);
         LoweredTemplate {
             target,
+            consts: FeatureConsts::new(graph, &root),
             root,
             groups: [raw_groups, inlined_groups],
-            consts,
             graph_flops: graph.flops(),
         }
     }

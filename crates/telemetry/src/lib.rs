@@ -194,12 +194,13 @@ pub enum TraceEvent {
         /// cumulative over the run.
         delta_full: usize,
     },
-    /// Region branch-and-bound statistics: live interval-gate counters
-    /// plus the end-of-search certification sweep. Emitted once per run,
-    /// immediately before [`TraceEvent::RunSummary`], only when
+    /// Live region-gate counters. Emitted once per run, immediately
+    /// before [`TraceEvent::RunSummary`], only when
     /// `SearchOptions::region_gate` is enabled; traces from ungated runs
     /// never contain it. Every field is deterministic given the seed and
-    /// search options, so gated traces replay byte-identically.
+    /// search options, so gated traces replay byte-identically. Older
+    /// records that also carry the retired `swept`/`sweep_*` keys still
+    /// parse; those keys are ignored.
     RegionStats {
         /// Trial index of the last completed trial.
         trial: usize,
@@ -207,19 +208,6 @@ pub enum TraceEvent {
         regions_analyzed: usize,
         /// Candidates skipped because their region is statically illegal.
         region_pruned: usize,
-        /// Regions examined by the certification sweep.
-        swept: usize,
-        /// Sweep regions certified empty (no legal member schedule).
-        sweep_illegal: usize,
-        /// Sweep regions certified worse than the incumbent (certified
-        /// lower bound exceeds the realized best cost).
-        sweep_pruned: usize,
-        /// Sweep regions left uncertified (contain the incumbent or hit
-        /// the subdivision limit).
-        sweep_open: usize,
-        /// Whether the sweep hit its region budget before certifying the
-        /// whole factor space.
-        sweep_truncated: bool,
     },
     /// Cumulative schedule-database statistics (`flextensor-tunedb`):
     /// lookup hits/misses, warm-start seeds served, records appended,
@@ -470,15 +458,10 @@ impl TraceEvent {
                 trial,
                 regions_analyzed,
                 region_pruned,
-                swept,
-                sweep_illegal,
-                sweep_pruned,
-                sweep_open,
-                sweep_truncated,
             } => {
                 let _ = write!(
                     s,
-                    ",\"trial\":{trial},\"regions_analyzed\":{regions_analyzed},\"region_pruned\":{region_pruned},\"swept\":{swept},\"sweep_illegal\":{sweep_illegal},\"sweep_pruned\":{sweep_pruned},\"sweep_open\":{sweep_open},\"sweep_truncated\":{sweep_truncated}"
+                    ",\"trial\":{trial},\"regions_analyzed\":{regions_analyzed},\"region_pruned\":{region_pruned}"
                 );
             }
             TraceEvent::DbStats {
@@ -648,11 +631,6 @@ impl TraceEvent {
                 trial: field(v.get_usize("trial"))?,
                 regions_analyzed: field(v.get_usize("regions_analyzed"))?,
                 region_pruned: field(v.get_usize("region_pruned"))?,
-                swept: field(v.get_usize("swept"))?,
-                sweep_illegal: field(v.get_usize("sweep_illegal"))?,
-                sweep_pruned: field(v.get_usize("sweep_pruned"))?,
-                sweep_open: field(v.get_usize("sweep_open"))?,
-                sweep_truncated: field(v.get_bool("sweep_truncated"))?,
             },
             "db_stats" => TraceEvent::DbStats {
                 records: field(v.get_usize("records"))?,
@@ -1016,11 +994,6 @@ mod tests {
                 trial: 3,
                 regions_analyzed: 7,
                 region_pruned: 4,
-                swept: 129,
-                sweep_illegal: 63,
-                sweep_pruned: 41,
-                sweep_open: 25,
-                sweep_truncated: false,
             },
             TraceEvent::DbStats {
                 records: 17,
@@ -1081,6 +1054,28 @@ mod tests {
             let back = TraceEvent::from_jsonl(&line).unwrap();
             assert_eq!(back, ev, "line: {line}");
         }
+        // A parent-format `region_stats` line, written while the
+        // end-of-search sweep existed, carries `swept` and four `sweep_*`
+        // keys after the live counters. It still parses; the retired keys
+        // are ignored.
+        let retired: String = [
+            ("illegal", "63"),
+            ("pruned", "41"),
+            ("open", "25"),
+            ("truncated", "false"),
+        ]
+        .iter()
+        .map(|(k, v)| format!(",\"sweep_{k}\":{v}"))
+        .collect();
+        let old = format!("{{\"v\":1,\"type\":\"region_stats\",\"trial\":3,\"regions_analyzed\":7,\"region_pruned\":4,\"swept\":129{retired}}}");
+        assert_eq!(
+            TraceEvent::from_jsonl(&old).unwrap(),
+            TraceEvent::RegionStats {
+                trial: 3,
+                regions_analyzed: 7,
+                region_pruned: 4,
+            }
+        );
     }
 
     #[test]

@@ -553,11 +553,6 @@ mod tests {
             trial: 2,
             regions_analyzed: 3,
             region_pruned: 1,
-            swept: 17,
-            sweep_illegal: 9,
-            sweep_pruned: 5,
-            sweep_open: 3,
-            sweep_truncated: false,
         };
         events.insert(summary_at, stats.clone());
         let r = replay(&events).unwrap();

@@ -15,6 +15,7 @@ use flextensor_ir::suite::{small_case, OperatorKind};
 use flextensor_schedule::config::{NodeConfig, TargetKind};
 use flextensor_schedule::delta::{delta_features_with, DeltaScratch};
 use flextensor_schedule::lower::lower;
+use flextensor_schedule::nest::Stmt;
 use flextensor_schedule::template::LoweredTemplate;
 use flextensor_sim::model::Evaluator;
 use flextensor_sim::spec::{v100, vu9p, xeon_e5_2699_v4, Device};
@@ -50,17 +51,40 @@ fn sample_configs(graph: &Graph, target: TargetKind, seed: u64) -> Vec<NodeConfi
 
 #[test]
 fn template_features_match_lower_for_every_suite_op() {
+    let mut staged_checked = 0;
     for kind in OperatorKind::all() {
         let graph = small_case(kind);
         for target in [TargetKind::Cpu, TargetKind::Gpu, TargetKind::Fpga] {
             let template = LoweredTemplate::new(&graph, target);
             for (ci, cfg) in sample_configs(&graph, target, 0xFA57).iter().enumerate() {
                 let fast = template.features(cfg);
-                let full = lower(&graph, cfg, target).map(|k| k.features);
+                let full = lower(&graph, cfg, target);
+                // The GPU nest's `StageIn` annotations size the same
+                // per-block footprint as the shared-memory feature.
+                if let (TargetKind::Gpu, true, Ok(k)) = (target, cfg.cache_shared, &full) {
+                    let mut staged = 0;
+                    for s in &k.stmts {
+                        s.visit(&mut |st| {
+                            if let Stmt::StageIn { bytes, .. } = st {
+                                staged += bytes;
+                            }
+                        });
+                    }
+                    assert_eq!(
+                        staged, k.features.shared_bytes_per_block,
+                        "{kind:?} config #{ci}: staged bytes"
+                    );
+                    staged_checked += 1;
+                }
+                let full = full.map(|k| k.features);
                 assert_eq!(fast, full, "{kind:?} on {target} config #{ci}");
             }
         }
     }
+    assert!(
+        staged_checked > 0,
+        "no GPU config stages into shared memory"
+    );
 }
 
 #[test]

@@ -32,13 +32,63 @@ fn opts(trials: usize, eval_workers: usize) -> SearchOptions {
 /// config, measurements, modeled time, and the whole trace — for all
 /// three methods. (The pool reduces outcomes in fixed candidate order and
 /// evaluation never touches the RNG, so thread scheduling cannot leak in.)
+///
+/// Template-path batches of at most 1024 fresh candidates (the pool's
+/// inline threshold) run on the coordinator, so the small GEMM searches
+/// never reach a worker thread. The last case does: a P-method search on
+/// YOLO C6 from 32 starts proposes over a thousand fresh candidates in
+/// one trial, and the `pool_stats` deltas prove that batch crossed the
+/// threshold.
 #[test]
 fn search_is_deterministic_in_worker_count() {
-    let g = ops::gemm(128, 128, 128);
+    use flextensor_explore::{MemorySink, Telemetry, TraceEvent};
+    use std::sync::Arc;
+
+    let gemm = ops::gemm(128, 128, 128);
+    let c6 = flextensor_ir::yolo::yolo_layer("C6").unwrap().graph(1);
     let ev = Evaluator::new(Device::Gpu(v100()));
-    for m in [Method::QMethod, Method::PMethod, Method::RandomWalk] {
-        let serial = search(&g, &ev, m, &opts(6, 1)).unwrap();
-        let parallel = search(&g, &ev, m, &opts(6, 8)).unwrap();
+    let wide = SearchOptions {
+        trials: 3,
+        starts: 32,
+        initial_samples: 64,
+        ..SearchOptions::default()
+    };
+    let cases = [
+        (&gemm, Method::QMethod, opts(6, 0)),
+        (&gemm, Method::PMethod, opts(6, 0)),
+        (&gemm, Method::RandomWalk, opts(6, 0)),
+        (&c6, Method::PMethod, wide),
+    ];
+    // The result, plus the most fresh evaluations in one batch: the
+    // largest step of the cumulative `evaluated` counter between
+    // consecutive `pool_stats` records.
+    let run = |g, m, o: &SearchOptions, eval_workers| {
+        let sink = Arc::new(MemorySink::new());
+        let o = SearchOptions {
+            eval_workers,
+            telemetry: Telemetry::new(sink.clone()),
+            ..o.clone()
+        };
+        let r = search(g, &ev, m, &o).unwrap();
+        let mut prev = 0;
+        let widest = sink
+            .events()
+            .iter()
+            .filter_map(|e| match e {
+                TraceEvent::PoolStats { evaluated, .. } => {
+                    let fresh = evaluated - prev;
+                    prev = *evaluated;
+                    Some(fresh)
+                }
+                _ => None,
+            })
+            .max();
+        (r, widest.unwrap())
+    };
+    let mut widest = 0;
+    for (g, m, o) in &cases {
+        let (serial, w) = run(g, *m, o, 1);
+        let (parallel, _) = run(g, *m, o, 8);
         assert_eq!(serial.best.encode(), parallel.best.encode(), "{m}");
         assert_eq!(
             serial.best_cost.seconds.to_bits(),
@@ -62,7 +112,12 @@ fn search_is_deterministic_in_worker_count() {
         );
         assert_eq!(serial.eval_stats.workers, 1, "{m}");
         assert_eq!(parallel.eval_stats.workers, 8, "{m}");
+        widest = w;
     }
+    assert!(
+        widest > 1024,
+        "the C6 case's widest batch {widest} never fans out"
+    );
 }
 
 /// `eval_workers: 0` means "all cores" and is likewise result-identical.

@@ -13,7 +13,6 @@ use flextensor_ir::expr::Expr;
 use flextensor_ir::ops;
 use flextensor_ir::suite;
 use flextensor_schedule::config::{NodeConfig, TargetKind};
-use flextensor_schedule::interval::{eval_interval, Interval, IntervalEnv};
 use flextensor_schedule::lower::lower;
 use proptest::prelude::*;
 
@@ -144,29 +143,6 @@ proptest! {
         for &d in space.directions() {
             if let Some(n) = space.apply(&p, d) {
                 prop_assert!(n.validate(space.op()).is_ok(), "direction {d:?}");
-            }
-        }
-    }
-
-    /// Interval analysis soundly bounds concrete evaluations of affine
-    /// conv-style index expressions.
-    #[test]
-    fn interval_analysis_is_sound_for_affine_indices(
-        stride in 1i64..4,
-        dil in 1i64..3,
-        hi_i in 0i64..8,
-        hi_r in 0i64..4,
-        offset in -3i64..4,
-    ) {
-        let e = Expr::var("i") * stride + Expr::var("r") * dil + offset;
-        let mut env = IntervalEnv::new();
-        env.insert("i".into(), Interval::new(0, hi_i));
-        env.insert("r".into(), Interval::new(0, hi_r));
-        let iv = eval_interval(&e, &env);
-        for i in 0..=hi_i {
-            for r in 0..=hi_r {
-                let v = i * stride + r * dil + offset;
-                prop_assert!(iv.lo <= v && v <= iv.hi, "{v} outside [{}, {}]", iv.lo, iv.hi);
             }
         }
     }
